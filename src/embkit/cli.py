@@ -7,11 +7,12 @@ problems, 2 for runtime stage failures.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from . import dense, evalagg, forge, fusion, lexical, loss as loss_mod, mining, pipeline
+from . import evalagg, forge, fusion, jsonl, loss as loss_mod, pipeline
 from .errors import (
     EmbkitError,
     PipelineStageError,
@@ -36,12 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--strict", action="store_true",
                         help="abort on missing reranker scores (overrides config)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    index_lex = sub.add_parser("index-lexical", help="build and persist the BM25 index")
-    index_lex.add_argument("--out", help="index file (default: <output_dir>/lexical_index.json)")
-
-    index_dense = sub.add_parser("index-dense", help="validate vectors and persist the store")
-    index_dense.add_argument("--out", help="store file (default: <output_dir>/vector_store.json)")
 
     rerank_cmd = sub.add_parser("rerank", help="score candidate pools and write the score cache")
     rerank_cmd.add_argument("--out", help="score file (default: <output_dir>/reranker_scores.jsonl)")
@@ -88,15 +83,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> pipeline.PipelineConfig:
-    if not args.config:
+def _load_config(args, *, needs_paths: bool = True) -> pipeline.PipelineConfig:
+    """The validated config with --seed and --strict applied.
+
+    Commands that read no input paths fall back to the defaults without
+    --config, and their config is checked for everything but paths.
+    """
+    if args.config:
+        config = pipeline.load_config(args.config)
+    elif needs_paths:
         raise ValidationError("this command requires --config")
-    config = pipeline.load_config(args.config)
+    else:
+        config = pipeline.PipelineConfig()
     if args.seed is not None:
         config.settings["mining"]["seed"] = args.seed
     if args.strict:
         config.settings["strict"] = True
-    problems = pipeline.validate_config(config)
+    validate = pipeline.validate_config if needs_paths else pipeline.validate_settings
+    problems = validate(config)
     if problems:
         raise ValidationError("invalid config:\n  " + "\n  ".join(problems))
     return config
@@ -108,25 +112,6 @@ def _out_path(config: pipeline.PipelineConfig, arg: str | None, default_name: st
     out_dir = Path(config.path("output_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir / default_name
-
-
-def _cmd_index_lexical(args) -> int:
-    config = _load_config(args)
-    corpus = corpus_mod.load_corpus(config.path("corpus"))
-    index = lexical.build_index(corpus.documents.values())
-    out = _out_path(config, args.out, "lexical_index.json")
-    lexical.save_index(index, out)
-    print(f"indexed {index.doc_count} documents, {len(index.postings)} terms -> {out}")
-    return EXIT_OK
-
-
-def _cmd_index_dense(args) -> int:
-    config = _load_config(args)
-    store = dense.load_vectors(config.path("doc_vectors"))
-    out = _out_path(config, args.out, "vector_store.json")
-    dense.save_store(store, out)
-    print(f"stored {len(store)} vectors of dimension {store.dim} -> {out}")
-    return EXIT_OK
 
 
 def _cmd_rerank(args) -> int:
@@ -159,24 +144,21 @@ def _cmd_mine(args) -> int:
     return EXIT_OK
 
 
+def _flag(value, configured):
+    """A command-line flag's value when given, else the config's."""
+    return configured if value is None else value
+
+
 def _cmd_convert_nli(args) -> int:
-    high, low = args.high, args.low
-    if args.config:
-        nli_cfg = pipeline.load_config(args.config).settings["nli"]
-        high = nli_cfg["high"] if high is None else high
-        low = nli_cfg["low"] if low is None else low
-    high = forge.DEFAULT_HIGH_SIMILARITY if high is None else high
-    low = forge.DEFAULT_LOW_SIMILARITY if low is None else low
+    nli = _load_config(args, needs_paths=False)["nli"]
     records = forge.load_nli(args.input)
-    converted = forge.convert_nli(records, high=high, low=low)
+    converted = forge.convert_nli(records, high=_flag(args.high, nli["high"]), low=_flag(args.low, nli["low"]))
     forge.save_sts(args.output, converted)
     print(f"converted {len(records)} NLI pairs -> {len(converted)} similarity pairs ({args.output})")
     return EXIT_OK
 
 
 def _cmd_dedup(args) -> int:
-    from . import jsonl
-
     records = jsonl.iter_records(args.input)
     first = next(records, None)
     records.close()
@@ -191,20 +173,12 @@ def _cmd_dedup(args) -> int:
 
 
 def _cmd_format_prompts(args) -> int:
+    config = _load_config(args, needs_paths=False)
     registry = forge.InstructionRegistry()
     if args.registry:
         registry.merge_overrides(args.registry)
-    shots: dict = {}
-    eos = forge.DEFAULT_EOS_MARKER
-    if args.config:
-        prompt_cfg = pipeline.load_config(args.config).settings["prompt"]
-        eos = prompt_cfg.get("eos_marker", eos)
-        shots = {
-            task: [tuple(pair) for pair in entries]
-            for task, entries in prompt_cfg.get("shots", {}).items()
-        }
-    from . import jsonl
-
+    shots = config.prompt_shots()
+    eos = config["prompt"]["eos_marker"]
     queries = corpus_mod.load_queries(args.input)
     rows = []
     for query in queries.values():
@@ -217,13 +191,9 @@ def _cmd_format_prompts(args) -> int:
 
 
 def _loss_settings(args) -> tuple[float, float | None, float]:
-    tau, tau_teacher, blend = args.tau, args.tau_teacher, args.blend
-    if args.config:
-        loss_cfg = pipeline.load_config(args.config).settings["loss"]
-        tau = loss_cfg["tau"] if tau is None else tau
-        tau_teacher = loss_cfg["tau_teacher"] if tau_teacher is None else tau_teacher
-        blend = loss_cfg["lambda"] if blend is None else blend
-    return (1.0 if tau is None else tau, tau_teacher, 0.5 if blend is None else blend)
+    loss_cfg = _load_config(args, needs_paths=False)["loss"]
+    return (_flag(args.tau, loss_cfg["tau"]), _flag(args.tau_teacher, loss_cfg["tau_teacher"]),
+            _flag(args.blend, loss_cfg["lambda"]))
 
 
 def _cmd_loss(args) -> int:
@@ -259,8 +229,6 @@ def _cmd_eval(args) -> int:
     matrix = evalagg.load_eval_matrix(args.scores)
     print(evalagg.format_leaderboard(matrix))
     if args.json_out:
-        import json
-
         with open(args.json_out, "w", encoding="utf-8") as handle:
             json.dump(evalagg.leaderboard(matrix), handle, indent=2)
             handle.write("\n")
@@ -269,8 +237,6 @@ def _cmd_eval(args) -> int:
 
 
 _COMMANDS = {
-    "index-lexical": _cmd_index_lexical,
-    "index-dense": _cmd_index_dense,
     "rerank": _cmd_rerank,
     "fuse": _cmd_fuse,
     "mine": _cmd_mine,

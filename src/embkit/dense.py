@@ -6,7 +6,6 @@ structure, so every downstream number is reproducible bit-for-bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,9 +13,6 @@ import numpy as np
 from . import jsonl
 from .errors import RecordError, ValidationError
 from .ranking import CHANNEL_SEMANTIC, RankedList, top_n
-
-_STORE_MAGIC = "embkit.vector-store"
-_STORE_VERSION = 1
 
 
 @dataclass
@@ -90,34 +86,3 @@ def search_semantic(store: VectorStore, q_vec, n: int) -> RankedList:
     scores = {vec_id: float(np.dot(q, vec)) for vec_id, vec in store.vectors.items()}
     return top_n(scores, n, CHANNEL_SEMANTIC)
 
-
-def save_store(store: VectorStore, path) -> None:
-    payload = {
-        "magic": _STORE_MAGIC,
-        "version": _STORE_VERSION,
-        "dim": store.dim,
-        "vectors": {vec_id: vec.tolist() for vec_id, vec in store.vectors.items()},
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, ensure_ascii=False)
-
-
-def load_store(path) -> VectorStore:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not a vector store file ({exc.msg})") from exc
-    if not isinstance(payload, dict) or payload.get("magic") != _STORE_MAGIC:
-        raise ValidationError(f"{path}: missing magic header '{_STORE_MAGIC}'")
-    if payload.get("version") != _STORE_VERSION:
-        raise ValidationError(
-            f"{path}: unsupported store version {payload.get('version')!r} "
-            f"(expected {_STORE_VERSION})"
-        )
-    store = VectorStore()
-    for vec_id, vec in payload["vectors"].items():
-        store.add(vec_id, vec)
-    if payload["vectors"] and store.dim != payload.get("dim"):
-        raise ValidationError(f"{path}: declared dim {payload.get('dim')} does not match vectors")
-    return store

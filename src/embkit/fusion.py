@@ -9,6 +9,7 @@ across candidate pools of different sizes.  The constant k defaults to 60.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -81,16 +82,18 @@ def rrf_fuse(lists: Sequence[RankedList], k: float = DEFAULT_RRF_K) -> RankedLis
     """Fuse rankings by summing 1/(k + rank) per document across lists.
 
     The result depends only on rank positions, never on the raw scores
-    inside the inputs, and is invariant to the order the lists are given in.
+    inside the inputs.  Each document's terms are summed exactly rounded
+    (math.fsum), so the result is bitwise invariant to the order of the lists.
     """
     if not lists:
         raise ValidationError("rrf_fuse needs at least one input list")
     if not k > 0:
         raise ValidationError(f"k must be > 0, got {k}")
-    scores: dict[str, float] = {}
+    terms: dict[str, list[float]] = {}
     for ranked in lists:
         for rank, (doc_id, _) in enumerate(ranked.entries, start=1):
-            scores[doc_id] = scores.get(doc_id, 0.0) + 1.0 / (k + rank)
+            terms.setdefault(doc_id, []).append(1.0 / (k + rank))
+    scores = {doc_id: math.fsum(doc_terms) for doc_id, doc_terms in terms.items()}
     ordered = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
     return RankedList(entries=tuple(ordered), channel=CHANNEL_FUSED)
 

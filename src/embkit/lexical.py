@@ -11,7 +11,6 @@ segmentation; no stemming, no stopwords, fully deterministic.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from collections import Counter
@@ -24,9 +23,6 @@ from .ranking import CHANNEL_LEXICAL, RankedList, top_n
 
 # Runs of Unicode alphanumerics; underscore is a boundary, not a word char.
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
-
-_INDEX_MAGIC = "embkit.lexical-index"
-_INDEX_VERSION = 1
 
 
 def tokenize(text: str) -> list[str]:
@@ -139,42 +135,3 @@ def search_lexical(index: InvertedIndex, params: Bm25Params, query: Query, n: in
             scores[doc_id] = scores.get(doc_id, 0.0) + weight
     return top_n(scores, n, CHANNEL_LEXICAL)
 
-
-def save_index(index: InvertedIndex, path) -> None:
-    """Persist the index as versioned JSON; incompatible files are rejected on load."""
-    payload = {
-        "magic": _INDEX_MAGIC,
-        "version": _INDEX_VERSION,
-        "doc_lengths": index.doc_lengths,
-        "postings": {term: [[d, tf] for d, tf in entries] for term, entries in index.postings.items()},
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, ensure_ascii=False)
-
-
-def load_index(path) -> InvertedIndex:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not an index file ({exc.msg})") from exc
-    if not isinstance(payload, dict) or payload.get("magic") != _INDEX_MAGIC:
-        raise ValidationError(f"{path}: missing magic header '{_INDEX_MAGIC}'")
-    if payload.get("version") != _INDEX_VERSION:
-        raise ValidationError(
-            f"{path}: unsupported index version {payload.get('version')!r} "
-            f"(expected {_INDEX_VERSION})"
-        )
-    doc_lengths = {str(d): int(n) for d, n in payload["doc_lengths"].items()}
-    postings = {
-        term: [(str(d), int(tf)) for d, tf in entries]
-        for term, entries in payload["postings"].items()
-    }
-    doc_count = len(doc_lengths)
-    avg_length = sum(doc_lengths.values()) / doc_count if doc_count else 0.0
-    return InvertedIndex(
-        postings=postings,
-        doc_lengths=doc_lengths,
-        doc_count=doc_count,
-        avg_length=avg_length,
-    )

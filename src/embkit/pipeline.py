@@ -45,6 +45,8 @@ DEFAULTS: dict = {
     "retrieval_tasks": None,
 }
 
+_HASHED_KEYS = ("bm25", "rrf_k", "pool_size", "score_source", "mining", "prompt",
+                "strict", "retrieval_tasks")
 _INPUT_PATH_KEYS = ("corpus", "queries", "qrels", "doc_vectors", "query_vectors")
 
 TRAINING_RECORDS_FILE = "training_records.jsonl"
@@ -80,10 +82,19 @@ class PipelineConfig:
             k1=self.settings["bm25"]["k1"], b=self.settings["bm25"]["b"]
         )
 
+    def prompt_shots(self) -> dict[str, list[tuple[str, str]]]:
+        """Few-shot (query, passage) examples per task."""
+        return {task: [tuple(pair) for pair in entries]
+                for task, entries in self.settings["prompt"].get("shots", {}).items()}
+
     def config_hash(self) -> str:
-        """Digest of the effective settings (paths excluded; inputs are
-        digested by content in the manifest instead)."""
-        canonical = json.dumps(self.settings, sort_keys=True, separators=(",", ":"))
+        """Digest of the settings that can change `mine` output bytes.
+
+        Paths are excluded (inputs are digested by content in the manifest
+        instead), and so are `workers`, `loss` and `nli`, which `mine` never reads.
+        """
+        mined_by = {key: self.settings.get(key) for key in _HASHED_KEYS}
+        canonical = json.dumps(mined_by, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -101,13 +112,18 @@ def load_config(path) -> PipelineConfig:
     for key, value in raw.items():
         if key == "paths":
             continue
-        if isinstance(value, dict) and isinstance(settings.get(key), dict):
+        if isinstance(settings.get(key), dict):
+            if not isinstance(value, dict):
+                raise ValidationError(f"{path}: {key}: must be an object, got {value!r}")
             settings[key].update(value)
         else:
             settings[key] = value
+    raw_paths = raw.get("paths", {})
+    if not isinstance(raw_paths, dict) or not all(v is None or isinstance(v, str) for v in raw_paths.values()):
+        raise ValidationError(f"{path}: paths: must map names to strings or null")
     paths = {}
     base = path.parent
-    for key, value in raw.get("paths", {}).items():
+    for key, value in raw_paths.items():
         if key == "reranker_endpoint" or value is None:
             paths[key] = value
         else:
@@ -117,6 +133,11 @@ def load_config(path) -> PipelineConfig:
 
 def validate_config(config: PipelineConfig) -> list[str]:
     """All range, cross-field, and path problems, reported in one pass."""
+    return validate_settings(config) + validate_paths(config)
+
+
+def validate_settings(config: PipelineConfig) -> list[str]:
+    """Range and cross-field problems of the settings; paths are not looked at."""
     errors: list[str] = []
     s = config.settings
 
@@ -196,7 +217,12 @@ def validate_config(config: PipelineConfig) -> list[str]:
     tasks = s.get("retrieval_tasks")
     check(tasks is None or (isinstance(tasks, list) and all(isinstance(t, str) for t in tasks)),
           "retrieval_tasks: must be null or a list of task names")
+    return errors
 
+
+def validate_paths(config: PipelineConfig) -> list[str]:
+    """Missing input files and output locations that `mine` needs."""
+    errors: list[str] = []
     for key in _INPUT_PATH_KEYS:
         value = config.path(key)
         if value is None:
@@ -232,23 +258,27 @@ class PipelineInputs:
     gateway: rerank.RerankGateway
 
 
+def _stage(name: str, query_id: str | None, fn, *args, **kwargs):
+    """Call fn; an EmbkitError escapes as a PipelineStageError naming the
+    stage and query.  A PipelineStageError from a nested stage passes as is."""
+    try:
+        return fn(*args, **kwargs)
+    except PipelineStageError:
+        raise
+    except EmbkitError as exc:
+        raise PipelineStageError(name, query_id, exc) from exc
+
+
 def load_inputs(config: PipelineConfig) -> PipelineInputs:
     """Load and index every input the retrieval stages need."""
-
-    def stage(name, fn):
-        try:
-            return fn()
-        except EmbkitError as exc:
-            raise PipelineStageError(name, None, exc) from exc
-
-    corpus = stage("load-corpus", lambda: corpus_mod.load_corpus(config.path("corpus")))
-    queries = stage("load-queries", lambda: corpus_mod.load_queries(config.path("queries")))
-    qrels = stage("load-qrels", lambda: corpus_mod.load_qrels(config.path("qrels")))
-    index = stage("index-lexical", lambda: lexical.build_index(corpus.documents.values()))
-    doc_vectors = stage("load-doc-vectors", lambda: dense.load_vectors(config.path("doc_vectors")))
-    query_vectors = stage("load-query-vectors", lambda: dense.load_vectors(config.path("query_vectors")))
+    corpus = _stage("load-corpus", None, corpus_mod.load_corpus, config.path("corpus"))
+    queries = _stage("load-queries", None, corpus_mod.load_queries, config.path("queries"))
+    qrels = _stage("load-qrels", None, corpus_mod.load_qrels, config.path("qrels"))
+    index = _stage("index-lexical", None, lexical.build_index, corpus.documents.values())
+    doc_vectors = _stage("load-doc-vectors", None, dense.load_vectors, config.path("doc_vectors"))
+    query_vectors = _stage("load-query-vectors", None, dense.load_vectors, config.path("query_vectors"))
     scores_path = config.path("reranker_scores")
-    scores = stage("load-scores", lambda: rerank.load_scores(scores_path)) if scores_path else rerank.ScoreSet()
+    scores = _stage("load-scores", None, rerank.load_scores, scores_path) if scores_path else rerank.ScoreSet()
     client = None
     endpoint = config.path("reranker_endpoint")
     if endpoint:
@@ -270,19 +300,10 @@ def score_query(config: PipelineConfig, inputs: PipelineInputs,
     """
     n = int(config["pool_size"])
     strict = bool(config["strict"])
-
-    def stage(name, fn):
-        try:
-            return fn()
-        except PipelineStageError:
-            raise
-        except EmbkitError as exc:
-            raise PipelineStageError(name, query.id, exc) from exc
-
-    lex = stage("search-lexical",
-                lambda: lexical.search_lexical(inputs.index, config.bm25_params(), query, n))
-    sem = stage("search-semantic",
-                lambda: dense.search_semantic(inputs.doc_vectors, inputs.query_vectors.get(query.id), n))
+    lex = _stage("search-lexical", query.id,
+                 lambda: lexical.search_lexical(inputs.index, config.bm25_params(), query, n))
+    sem = _stage("search-semantic", query.id,
+                 lambda: dense.search_semantic(inputs.doc_vectors, inputs.query_vectors.get(query.id), n))
     pool = sorted(set(lex.doc_ids()) | set(sem.doc_ids()) | set(positives))
 
     def rerank_pool():
@@ -298,8 +319,8 @@ def score_query(config: PipelineConfig, inputs: PipelineInputs,
             raise ValidationError(f"no reranker scores available for query '{query.id}'")
         return top_n(scored, len(scored), CHANNEL_RERANKER)
 
-    rer = stage("rerank", rerank_pool)
-    return stage("fuse", lambda: fusion.build_teacher_scores(query, lex, sem, rer, float(config["rrf_k"])))
+    rer = _stage("rerank", query.id, rerank_pool)
+    return _stage("fuse", query.id, fusion.build_teacher_scores, query, lex, sem, rer, float(config["rrf_k"]))
 
 
 def score_all_queries(config: PipelineConfig, inputs: PipelineInputs,
@@ -344,44 +365,29 @@ def run_mine(config: PipelineConfig, workers: int | None = None) -> dict:
                 "mine", qrel.query_id, ValidationError(f"qrel references unknown query '{qrel.query_id}'")
             )
         query = inputs.queries[qrel.query_id]
-        try:
-            positive_text = inputs.corpus.text(qrel.doc_id)
-        except EmbkitError as exc:
-            raise PipelineStageError("mine", qrel.query_id, exc) from exc
         pairs.append(
             KeyedPair(
-                query_id=qrel.query_id, query=query.text, task=query.task,
-                positive_id=qrel.doc_id, positive=positive_text,
+                query_id=qrel.query_id, query=query.text, task=query.task, positive_id=qrel.doc_id,
+                positive=_stage("mine", qrel.query_id, inputs.corpus.text, qrel.doc_id),
             )
         )
 
-    mined: dict[tuple[str, str], mining.MinedNegatives] = {}
-    for pair in pairs:
-        try:
-            mined[(pair.query_id, pair.positive_id)] = mining.mine(
-                teacher_sets[pair.query_id], pair.positive_id, mining_config,
-                score_source=score_source,
-            )
-        except EmbkitError as exc:
-            raise PipelineStageError("mine", pair.query_id, exc) from exc
-
-    registry = InstructionRegistry()
-    prompt_cfg = config["prompt"]
-    shots = {
-        task: [tuple(pair) for pair in entries]
-        for task, entries in prompt_cfg.get("shots", {}).items()
+    mined: dict[tuple[str, str], mining.MinedNegatives] = {
+        (pair.query_id, pair.positive_id): _stage(
+            "mine", pair.query_id, mining.mine, teacher_sets[pair.query_id], pair.positive_id,
+            mining_config, score_source=score_source,
+        )
+        for pair in pairs
     }
+
     doc_texts = {doc_id: doc.text for doc_id, doc in inputs.corpus.documents.items()}
-    try:
-        records = list(
-            emit_training_records(
-                pairs, registry, mined=mined, doc_texts=doc_texts, shots=shots,
-                eos_marker=prompt_cfg.get("eos_marker", DEFAULT_EOS_MARKER),
-                retrieval_tasks=config["retrieval_tasks"],
-            )
+    records = _stage("emit", None, lambda: list(
+        emit_training_records(
+            pairs, InstructionRegistry(), mined=mined, doc_texts=doc_texts, shots=config.prompt_shots(),
+            eos_marker=config["prompt"].get("eos_marker", DEFAULT_EOS_MARKER),
+            retrieval_tasks=config["retrieval_tasks"],
         )
-    except EmbkitError as exc:
-        raise PipelineStageError("emit", None, exc) from exc
+    ))
 
     output_dir = Path(config.path("output_dir"))
     output_dir.mkdir(parents=True, exist_ok=True)

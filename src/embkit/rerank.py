@@ -175,7 +175,8 @@ class RerankClient:
                         f"server rejected batch of {limit} but declares limit {exc.max_batch_size}"
                     )
                 limit = exc.max_batch_size
-                self.batch_size = limit
+                with self._lock:
+                    self.batch_size = limit
                 continue
             start += len(chunk)
         return scores
@@ -195,7 +196,8 @@ class RerankClient:
             try:
                 with urllib.request.urlopen(request, timeout=self.timeout) as response:
                     payload = json.loads(response.read().decode("utf-8"))
-                self.upstream_calls += 1
+                with self._lock:
+                    self.upstream_calls += 1
                 return _validate_response(payload, len(chunk))
             except urllib.error.HTTPError as exc:
                 detail = _read_error_body(exc)

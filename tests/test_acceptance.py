@@ -98,10 +98,11 @@ def test_criterion_2_rrf_oracle():
         docs = ["d1", "d2", "d3", "d4", "d5"]
         for _ in range(20):
             id_lists = [rng.sample(docs, rng.randint(1, 5)) for _ in range(3)]
-            expected = {}
+            terms = {}
             for ids in id_lists:
                 for rank, doc in enumerate(ids, start=1):
-                    expected[doc] = expected.get(doc, 0.0) + 1.0 / (60 + rank)
+                    terms.setdefault(doc, []).append(1.0 / (60 + rank))
+            expected = {doc: math.fsum(doc_terms) for doc, doc_terms in terms.items()}
             want = sorted(expected.items(), key=lambda item: (-item[1], item[0]))
             got = rrf_fuse([_ranked_from_ids(ids) for ids in id_lists], k=60)
             assert list(got.entries) == want

@@ -5,9 +5,7 @@ import pytest
 
 from embkit.dense import (
     VectorStore,
-    load_store,
     load_vectors,
-    save_store,
     search_semantic,
     semantic_score,
 )
@@ -126,16 +124,3 @@ class TestSearchSemantic:
         q = [0.5, 0.4]
         assert search_semantic(load_vectors(fwd), q, 2) == search_semantic(load_vectors(rev), q, 2)
 
-
-def test_store_roundtrip_and_magic(tmp_path):
-    store = VectorStore()
-    store.add("a", [0.25, -1.5])
-    store.add("b", [1e-9, 3.0])
-    path = tmp_path / "store.json"
-    save_store(store, path)
-    loaded = load_store(path)
-    assert loaded.dim == 2
-    assert np.array_equal(loaded.get("a"), store.get("a"))
-    path.write_text('{"magic": "nope"}', encoding="utf-8")
-    with pytest.raises(ValidationError, match="magic"):
-        load_store(path)

@@ -1,8 +1,11 @@
 """Reciprocal rank fusion against a brute-force oracle, plus rank-only properties."""
 
+import math
 import random
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from embkit.corpus import Query
 from embkit.errors import ValidationError
@@ -26,11 +29,13 @@ def from_ids(ids, channel="lexical"):
 
 
 def brute_force_rrf(lists_of_ids, k):
-    """Independent transcription: sum 1/(k + rank) over lists containing the doc."""
-    scores = {}
+    """Independent transcription: sum 1/(k + rank) over lists containing the doc,
+    rounded once from the exact sum."""
+    terms = {}
     for ids in lists_of_ids:
         for rank, doc in enumerate(ids, start=1):
-            scores[doc] = scores.get(doc, 0.0) + 1.0 / (k + rank)
+            terms.setdefault(doc, []).append(1.0 / (k + rank))
+    scores = {doc: math.fsum(doc_terms) for doc, doc_terms in terms.items()}
     return sorted(scores.items(), key=lambda item: (-item[1], item[0]))
 
 
@@ -110,6 +115,26 @@ class TestRrfFuse:
             ]
             fused = rrf_fuse([from_ids(ids) for ids in id_lists], k=60)
             assert list(fused.entries) == brute_force_rrf(id_lists, 60)
+
+
+def exact(fused):
+    """A RankedList with every score spelled out bit for bit."""
+    return fused.channel, [(doc_id, score.hex()) for doc_id, score in fused.entries]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    id_lists=st.lists(
+        st.lists(st.sampled_from([f"d{i}" for i in range(40)]), unique=True, min_size=1),
+        min_size=2, max_size=4,
+    ),
+    k=st.floats(min_value=0.5, max_value=1000.0),
+)
+def test_rrf_fuse_bitwise_invariant_under_every_list_permutation(id_lists, k):
+    lists = [from_ids(ids) for ids in id_lists]
+    expected = exact(rrf_fuse(lists, k))
+    for order in permutations(lists):
+        assert exact(rrf_fuse(list(order), k)) == expected
 
 
 class TestBuildTeacherScores:

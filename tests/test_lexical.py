@@ -13,8 +13,6 @@ from embkit.lexical import (
     bm25_score,
     build_index,
     idf,
-    load_index,
-    save_index,
     search_lexical,
     tokenize,
 )
@@ -200,25 +198,3 @@ class TestSearchLexical:
             for (_, got_score), (_, want_score) in zip(got.entries, expected):
                 assert got_score == pytest.approx(want_score, abs=1e-9)
 
-
-class TestPersistence:
-    def test_roundtrip(self, tmp_path):
-        index = build_index(make_docs({"d1": "a a b", "d2": "b c"}))
-        path = tmp_path / "index.json"
-        save_index(index, path)
-        assert load_index(path) == index
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "index.json"
-        path.write_text('{"magic": "something-else", "version": 1}', encoding="utf-8")
-        with pytest.raises(ValidationError, match="magic"):
-            load_index(path)
-
-    def test_bad_version_rejected(self, tmp_path):
-        path = tmp_path / "index.json"
-        path.write_text(
-            '{"magic": "embkit.lexical-index", "version": 99, "doc_lengths": {}, "postings": {}}',
-            encoding="utf-8",
-        )
-        with pytest.raises(ValidationError, match="version"):
-            load_index(path)

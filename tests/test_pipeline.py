@@ -119,6 +119,13 @@ class TestRunMine:
             != bumped["outputs"][pipeline.TEACHER_SCORES_FILE]
         )
 
+    def test_settings_mine_never_reads_leave_outputs_unchanged(self, tmp_path):
+        pipeline.run_mine(fixture_config(tmp_path, out_name="base"))
+        pipeline.run_mine(fixture_config(
+            tmp_path, out_name="edited", workers=4, loss={"tau": 0.05}, nli={"high": 0.9}
+        ))
+        assert output_bytes(tmp_path / "base") == output_bytes(tmp_path / "edited")
+
     def test_strict_missing_score_aborts_naming_pair(self, tmp_path):
         trimmed = tmp_path / "inputs"
         shutil.copytree(PIPELINE_FIXTURE, trimmed)
@@ -243,12 +250,8 @@ class TestCli:
 
     def test_index_and_fuse_subcommands(self, tmp_path, capsys):
         config = self.write_config(tmp_path)
-        assert main(["--config", str(config), "index-lexical"]) == 0
-        assert main(["--config", str(config), "index-dense"]) == 0
         assert main(["--config", str(config), "fuse"]) == 0
         out = tmp_path / "out"
-        assert (out / "lexical_index.json").exists()
-        assert (out / "vector_store.json").exists()
         assert (out / "teacher_scores.jsonl").exists()
 
     def test_rerank_subcommand_writes_cache(self, tmp_path):
@@ -302,6 +305,30 @@ class TestCli:
         assert main(["grad-check", "--batch", str(batch)]) == 0
         out = capsys.readouterr().out
         assert "grad-check infonce" in out and "grad-check distill" in out
+
+    @pytest.mark.parametrize("settings, command, message", [
+        ({"prompt": {"eos_marker": ""}}, "format-prompts",
+         "prompt.eos_marker: must be a non-empty string"),
+        ({"prompt": {"shots": {"STS12": "oops"}}}, "format-prompts",
+         "prompt.shots.STS12: must be a list of [query, passage] pairs"),
+        ({"loss": {"tau": "1"}}, "loss", "loss.tau: must be a number, got '1'"),
+        ({"prompt": "x"}, "format-prompts", "prompt: must be an object, got 'x'"),
+        ({"paths": {"corpus": 5}}, "format-prompts", "paths: must map names to strings or null"),
+    ], ids=["empty-eos", "bad-shots", "string-tau", "prompt-not-object", "path-not-string"])
+    def test_commands_without_paths_still_check_settings(self, tmp_path, capsys,
+                                                         settings, command, message):
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text('{"id": "q1", "text": "hello", "task": "STS12"}\n', encoding="utf-8")
+        batch = tmp_path / "batch.jsonl"
+        batch.write_text('{"s_pos": 0.0, "s_neg": [0.0]}\n', encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(settings), encoding="utf-8")
+        command_args = {
+            "format-prompts": ["--input", str(queries), "--output", str(tmp_path / "prompts.jsonl")],
+            "loss": ["--batch", str(batch)],
+        }[command]
+        assert main(["--config", str(config), command, *command_args]) == 1
+        assert message in capsys.readouterr().err
 
     def test_eval_subcommand(self, tmp_path, capsys):
         scores = tmp_path / "scores.jsonl"

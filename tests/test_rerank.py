@@ -1,5 +1,6 @@
 """Score files, the wire protocol client, and the caching gateway."""
 
+import sys
 import threading
 
 import pytest
@@ -138,6 +139,29 @@ class TestWireProtocol:
             assert results["first"] == results["second"]
             assert server.calls == 1
             assert client.upstream_calls == 1
+
+    def test_concurrent_requests_keep_counters_exact(self):
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ScoringServer(max_batch_size=2) as server:
+                client = RerankClient(server.endpoint, batch_size=4)
+                threads = [
+                    threading.Thread(target=client.request_scores,
+                                     args=([(f"q{t}", f"d{i}") for i in range(10)],))
+                    for t in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch_interval)
+        # Every thread's 10 distinct pairs end up in chunks of 2; a lost
+        # increment would leave the count short.
+        assert client.upstream_calls == 8 * 5
+        assert client.batch_size == 2
 
 
 class TestGateway:
