@@ -97,9 +97,9 @@ def main():
 
         first = (root / "out" / pipeline.TRAINING_RECORDS_FILE).read_bytes()
         config.paths["output_dir"] = str(root / "out2")
-        pipeline.run_mine(config, workers=4)
+        pipeline.run_mine(config)
         second = (root / "out2" / pipeline.TRAINING_RECORDS_FILE).read_bytes()
-        print(f"\nrerun with 4 workers byte-identical: {first == second}")
+        print(f"\nrerun byte-identical: {first == second}")
 
 
 if __name__ == "__main__":

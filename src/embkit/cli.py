@@ -44,8 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuse = sub.add_parser("fuse", help="fuse the three channels into teacher score sets")
     fuse.add_argument("--out", help="output file (default: <output_dir>/teacher_scores.jsonl)")
 
-    mine = sub.add_parser("mine", help="run the full pipeline: records plus manifest")
-    mine.add_argument("--workers", type=int, help="worker pool size (overrides config)")
+    sub.add_parser("mine", help="run the full pipeline: records plus manifest")
 
     convert = sub.add_parser("convert-nli", help="convert NLI pairs to similarity pairs")
     convert.add_argument("--input", required=True)
@@ -137,7 +136,7 @@ def _cmd_fuse(args) -> int:
 
 def _cmd_mine(args) -> int:
     config = _load_config(args)
-    manifest = pipeline.run_mine(config, workers=args.workers)
+    manifest = pipeline.run_mine(config)
     out_dir = config.path("output_dir")
     print(f"mined {manifest['counts']['pairs']} pairs from {manifest['counts']['queries']} queries -> {out_dir}")
     print(f"config hash {manifest['config_hash'][:16]}")

@@ -5,8 +5,7 @@ candidate union, the reranker scores it, reciprocal rank fusion turns the
 three rankings into soft labels, the margin filter and seeded sampler mine
 negatives, and the forge emits final training records.  A run writes a
 manifest with the config hash and input/output digests, and the output
-bytes are fully determined by (config, inputs, seed) regardless of worker
-count.
+bytes are fully determined by (config, inputs, seed).
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import copy
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,7 +39,6 @@ DEFAULTS: dict = {
     "nli": {"high": 1.0, "low": 0.0},
     "prompt": {"eos_marker": DEFAULT_EOS_MARKER, "shots": {}},
     "strict": True,
-    "workers": 1,
     "retrieval_tasks": None,
 }
 
@@ -91,7 +88,7 @@ class PipelineConfig:
         """Digest of the settings that can change `mine` output bytes.
 
         Paths are excluded (inputs are digested by content in the manifest
-        instead), and so are `workers`, `loss` and `nli`, which `mine` never reads.
+        instead), and so are `loss` and `nli`, which `mine` never reads.
         """
         mined_by = {key: self.settings.get(key) for key in _HASHED_KEYS}
         canonical = json.dumps(mined_by, sort_keys=True, separators=(",", ":"))
@@ -137,9 +134,12 @@ def validate_config(config: PipelineConfig) -> list[str]:
 
 
 def validate_settings(config: PipelineConfig) -> list[str]:
-    """Range and cross-field problems of the settings; paths are not looked at."""
-    errors: list[str] = []
+    """Unknown keys, range and cross-field problems of the settings; paths are not looked at."""
     s = config.settings
+    errors = [f"{key}: unknown setting" for key in s if key not in DEFAULTS]
+    for section, known in DEFAULTS.items():
+        if isinstance(known, dict) and isinstance(s.get(section), dict):
+            errors += [f"{section}.{key}: unknown setting" for key in s[section] if key not in known]
 
     def check(condition: bool, message: str) -> None:
         if not condition:
@@ -158,8 +158,9 @@ def validate_settings(config: PipelineConfig) -> list[str]:
         check(0 <= bm25["b"] <= 1, f"bm25.b: must be in [0, 1], got {bm25['b']}")
     if number("", "rrf_k", s.get("rrf_k")):
         check(s["rrf_k"] > 0, f"rrf_k: must be > 0, got {s['rrf_k']}")
-    if number("", "pool_size", s.get("pool_size")):
-        check(int(s["pool_size"]) >= 1, f"pool_size: must be >= 1, got {s['pool_size']}")
+    pool_size = s.get("pool_size")
+    check(isinstance(pool_size, int) and not isinstance(pool_size, bool) and pool_size >= 1,
+          f"pool_size: must be an integer >= 1, got {pool_size!r}")
     check(
         s.get("score_source") in (mining.SCORE_SOURCE_FUSED, mining.SCORE_SOURCE_RERANKER),
         f"score_source: must be 'fused' or 'reranker', got {s.get('score_source')!r}",
@@ -210,9 +211,6 @@ def validate_settings(config: PipelineConfig) -> list[str]:
             )
             check(ok, f"prompt.shots.{task}: must be a list of [query, passage] pairs")
 
-    workers = s.get("workers")
-    check(isinstance(workers, int) and not isinstance(workers, bool) and workers >= 1,
-          f"workers: must be an integer >= 1, got {workers!r}")
     check(isinstance(s.get("strict"), bool), f"strict: must be a boolean, got {s.get('strict')!r}")
     tasks = s.get("retrieval_tasks")
     check(tasks is None or (isinstance(tasks, list) and all(isinstance(t, str) for t in tasks)),
@@ -298,7 +296,7 @@ def score_query(config: PipelineConfig, inputs: PipelineInputs,
     query's known positives, so the positive always carries a teacher score
     even when neither channel retrieved it.
     """
-    n = int(config["pool_size"])
+    n = config["pool_size"]
     strict = bool(config["strict"])
     lex = _stage("search-lexical", query.id,
                  lambda: lexical.search_lexical(inputs.index, config.bm25_params(), query, n))
@@ -323,38 +321,29 @@ def score_query(config: PipelineConfig, inputs: PipelineInputs,
     return _stage("fuse", query.id, fusion.build_teacher_scores, query, lex, sem, rer, float(config["rrf_k"]))
 
 
-def score_all_queries(config: PipelineConfig, inputs: PipelineInputs,
-                      workers: int | None = None) -> dict[str, fusion.TeacherScoreSet]:
+def score_all_queries(config: PipelineConfig, inputs: PipelineInputs) -> dict[str, fusion.TeacherScoreSet]:
     """Teacher score sets for every query, keyed by query id.
 
-    Queries are scored by a bounded worker pool; results are keyed, not
-    ordered, so worker count can never change downstream bytes.
+    Queries are scored one after another; the reranker client overlaps the
+    network wait of each query's chunks.
     """
     positives_by_query: dict[str, list[str]] = {}
     for qrel in inputs.qrels:
         positives_by_query.setdefault(qrel.query_id, []).append(qrel.doc_id)
-    count = workers if workers is not None else int(config["workers"])
-    ordered = list(inputs.queries.values())
-
-    def run(query: corpus_mod.Query) -> fusion.TeacherScoreSet:
-        return score_query(config, inputs, query, positives_by_query.get(query.id, []))
-
-    if count <= 1:
-        results = [run(query) for query in ordered]
-    else:
-        with ThreadPoolExecutor(max_workers=count) as pool:
-            results = list(pool.map(run, ordered))
-    return {ts.query_id: ts for ts in results}
+    return {query.id: score_query(config, inputs, query, positives_by_query.get(query.id, []))
+            for query in inputs.queries.values()}
 
 
-def run_mine(config: PipelineConfig, workers: int | None = None) -> dict:
+def run_mine(config: PipelineConfig) -> dict:
     """Execute the full pipeline and write records plus a run manifest.
 
-    Any stage failure aborts the run with the stage name and query id, and
-    no partial output file is left behind.  Returns the manifest.
+    Any stage failure aborts the run with the stage name and query id.  Each
+    output is written to a temp file in the output directory and renamed into
+    place, the manifest last, so a failed run leaves the previous run's files
+    as they were.  Returns the manifest.
     """
     inputs = load_inputs(config)
-    teacher_sets = score_all_queries(config, inputs, workers)
+    teacher_sets = score_all_queries(config, inputs)
     mining_config = config.mining_config()
     score_source = config["score_source"]
 
@@ -391,19 +380,13 @@ def run_mine(config: PipelineConfig, workers: int | None = None) -> dict:
 
     output_dir = Path(config.path("output_dir"))
     output_dir.mkdir(parents=True, exist_ok=True)
-    out_records = output_dir / TRAINING_RECORDS_FILE
-    out_mined = output_dir / MINED_FILE
-    out_teacher = output_dir / TEACHER_SCORES_FILE
-    out_manifest = output_dir / MANIFEST_FILE
-    written: list[Path] = []
+    data = (TRAINING_RECORDS_FILE, MINED_FILE, TEACHER_SCORES_FILE)
+    temp = {name: output_dir / f".{name}.{os.getpid()}.tmp" for name in (*data, MANIFEST_FILE)}
     try:
-        written.append(out_records)
-        save_training_records(out_records, records)
-        written.append(out_mined)
-        mining.save_mined(out_mined, [mined[(p.query_id, p.positive_id)] for p in pairs])
-        written.append(out_teacher)
+        save_training_records(temp[TRAINING_RECORDS_FILE], records)
+        mining.save_mined(temp[MINED_FILE], [mined[(p.query_id, p.positive_id)] for p in pairs])
         fusion.save_teacher_scores(
-            out_teacher, [teacher_sets[qid] for qid in sorted(teacher_sets)]
+            temp[TEACHER_SCORES_FILE], [teacher_sets[qid] for qid in sorted(teacher_sets)]
         )
 
         manifest = {
@@ -413,19 +396,16 @@ def run_mine(config: PipelineConfig, workers: int | None = None) -> dict:
                 for key in (*_INPUT_PATH_KEYS, "reranker_scores")
                 if config.path(key)
             },
-            "outputs": {
-                TRAINING_RECORDS_FILE: _digest_file(out_records),
-                MINED_FILE: _digest_file(out_mined),
-                TEACHER_SCORES_FILE: _digest_file(out_teacher),
-            },
+            "outputs": {name: _digest_file(temp[name]) for name in data},
             "counts": {"queries": len(inputs.queries), "pairs": len(pairs)},
         }
-        written.append(out_manifest)
-        with open(out_manifest, "w", encoding="utf-8") as handle:
+        with open(temp[MANIFEST_FILE], "w", encoding="utf-8") as handle:
             json.dump(manifest, handle, indent=2, sort_keys=True)
             handle.write("\n")
+        for name, path in temp.items():  # the manifest last
+            os.replace(path, output_dir / name)
     except Exception:
-        for partial in written:
+        for partial in temp.values():
             partial.unlink(missing_ok=True)
         raise
     return manifest

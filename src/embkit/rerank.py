@@ -22,12 +22,15 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from concurrent.futures import Future
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import jsonl
 from .errors import RecordError, RerankProtocolError, RerankTransportError, ValidationError
+
+# Chunks of one `request_scores` call posted at once.
+MAX_IN_FLIGHT = 4
 
 
 @dataclass(frozen=True)
@@ -104,11 +107,11 @@ def load_scores(path) -> ScoreSet:
 
 
 class RerankClient:
-    """Batch scoring client for the wire protocol, with request coalescing.
+    """Batch scoring client for the wire protocol.
 
-    Identical text pairs in flight share one upstream call: the first caller
-    owns the request, later callers wait on its future.  Already-answered
-    pairs are served from an in-memory memo without touching the network.
+    Already-answered pairs are served from an in-memory memo without touching
+    the network.  The misses of one call are split into `batch_size` chunks,
+    and up to MAX_IN_FLIGHT of them are posted at once.
     """
 
     def __init__(self, endpoint: str, *, batch_size: int = 32, timeout: float = 10.0,
@@ -122,64 +125,37 @@ class RerankClient:
         self.retry_wait = retry_wait
         self.upstream_calls = 0
         self._memo: dict[tuple[str, str], float] = {}
-        self._inflight: dict[tuple[str, str], Future] = {}
         self._lock = threading.Lock()
 
     def request_scores(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
         """Score (query text, doc text) pairs, order-aligned with the input."""
-        owned: list[tuple[str, str]] = []
-        owned_set: set[tuple[str, str]] = set()
-        waiting: dict[tuple[str, str], Future] = {}
+        keys = [(q, d) for q, d in pairs]
         with self._lock:
-            for pair in pairs:
-                key = (pair[0], pair[1])
-                if key in self._memo or key in owned_set or key in waiting:
-                    continue
-                if key in self._inflight:
-                    waiting[key] = self._inflight[key]
-                else:
-                    future: Future = Future()
-                    self._inflight[key] = future
-                    owned_set.add(key)
-                    owned.append(key)
-
-        if owned:
-            try:
-                fetched = self._fetch(owned)
-            except Exception as exc:
-                with self._lock:
-                    for key in owned:
-                        self._inflight.pop(key).set_exception(exc)
-                raise
+            missing = list(dict.fromkeys(key for key in keys if key not in self._memo))
+        if missing:
+            fetched = self._fetch(missing)
             with self._lock:
-                for key, score in zip(owned, fetched):
-                    self._memo[key] = score
-                    self._inflight.pop(key).set_result(score)
-
-        for key, future in waiting.items():
-            self._memo[key] = future.result()
-
-        return [self._memo[(q, d)] for q, d in pairs]
+                self._memo.update(zip(missing, fetched))
+        return [self._memo[key] for key in keys]
 
     def _fetch(self, keys: list[tuple[str, str]]) -> list[float]:
-        scores: list[float] = []
-        limit = self.batch_size
-        start = 0
-        while start < len(keys):
-            chunk = keys[start:start + limit]
-            try:
-                scores.extend(self._post(chunk))
-            except _BatchTooLarge as exc:
-                if exc.max_batch_size >= limit:
-                    raise RerankProtocolError(
-                        f"server rejected batch of {limit} but declares limit {exc.max_batch_size}"
-                    )
-                limit = exc.max_batch_size
-                with self._lock:
-                    self.batch_size = limit
-                continue
-            start += len(chunk)
-        return scores
+        size = self.batch_size
+        chunks = [keys[start:start + size] for start in range(0, len(keys), size)]
+        with ThreadPoolExecutor(max_workers=min(MAX_IN_FLIGHT, len(chunks))) as pool:
+            return [score for scores in pool.map(self._post_chunk, chunks) for score in scores]
+
+    def _post_chunk(self, chunk: list[tuple[str, str]]) -> list[float]:
+        """Scores for one chunk; a 413 re-splits it at the server's declared limit."""
+        try:
+            return self._post(chunk)
+        except _BatchTooLarge as exc:
+            limit = exc.max_batch_size
+        if limit >= len(chunk):
+            raise RerankProtocolError(f"server rejected batch of {len(chunk)} but declares limit {limit}")
+        with self._lock:
+            self.batch_size = min(self.batch_size, limit)
+        return [score for start in range(0, len(chunk), limit)
+                for score in self._post_chunk(chunk[start:start + limit])]
 
     def _post(self, chunk: list[tuple[str, str]]) -> list[float]:
         body = json.dumps(

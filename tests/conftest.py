@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -30,10 +29,6 @@ class _ScoringHandler(BaseHTTPRequestHandler):
             fail = server.fail_next > 0
             if fail:
                 server.fail_next -= 1
-        if server.request_seen is not None:
-            server.request_seen.set()
-        if server.delay:
-            time.sleep(server.delay)
         if fail:
             self._reply(503, {"error": "unavailable"})
             return
@@ -71,9 +66,7 @@ class ScoringServer:
         self.httpd.max_batch_size = max_batch_size
         self.httpd.calls = 0
         self.httpd.fail_next = 0
-        self.httpd.delay = 0.0
         self.httpd.short_response = False
-        self.httpd.request_seen = None
         self.httpd.state_lock = threading.Lock()
         self._thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
 

@@ -5,13 +5,13 @@ import shutil
 
 import pytest
 
-from embkit import pipeline
+from embkit import pipeline, rerank
 from embkit.cli import main
 from embkit.errors import PipelineStageError
 from embkit.forge import load_training_records
 from embkit.mining import load_mined
 
-from conftest import FIXTURES
+from conftest import FIXTURES, ScoringServer
 
 PIPELINE_FIXTURE = FIXTURES / "pipeline"
 
@@ -55,13 +55,13 @@ class TestValidateConfig:
         assert any("num_negatives" in p and "top_k" in p for p in problems)
 
     def test_all_problems_reported_in_one_pass(self, tmp_path):
-        config = fixture_config(tmp_path, rrf_k=-1, mining={"margin": 2.0}, workers=0)
+        config = fixture_config(tmp_path, rrf_k=-1, mining={"margin": 2.0}, pool_sise=5)
         config.paths["corpus"] = str(tmp_path / "missing.jsonl")
         problems = pipeline.validate_config(config)
         assert len(problems) >= 4
         joined = "\n".join(problems)
         assert "rrf_k" in joined and "mining.margin" in joined
-        assert "workers" in joined and "paths.corpus" in joined
+        assert "pool_sise: unknown setting" in joined and "paths.corpus" in joined
 
     def test_reranker_source_required(self, tmp_path):
         config = fixture_config(tmp_path)
@@ -104,10 +104,15 @@ class TestRunMine:
         pipeline.run_mine(fixture_config(tmp_path, out_name="run2"))
         assert output_bytes(tmp_path / "run1") == output_bytes(tmp_path / "run2")
 
-    def test_byte_identical_across_worker_counts(self, tmp_path):
-        pipeline.run_mine(fixture_config(tmp_path, out_name="w1"), workers=1)
-        pipeline.run_mine(fixture_config(tmp_path, out_name="w4"), workers=4)
-        assert output_bytes(tmp_path / "w1") == output_bytes(tmp_path / "w4")
+    def test_byte_identical_across_in_flight_limits(self, tmp_path, monkeypatch):
+        with ScoringServer(max_batch_size=2) as server:
+            for name, limit in (("serial", 1), ("concurrent", rerank.MAX_IN_FLIGHT)):
+                monkeypatch.setattr(rerank, "MAX_IN_FLIGHT", limit)
+                config = fixture_config(tmp_path, out_name=name)
+                config.paths["reranker_scores"] = None
+                config.paths["reranker_endpoint"] = server.endpoint
+                pipeline.run_mine(config)
+        assert output_bytes(tmp_path / "serial") == output_bytes(tmp_path / "concurrent")
 
     def test_config_change_changes_hash_and_digests(self, tmp_path):
         base = pipeline.run_mine(fixture_config(tmp_path, out_name="base"))
@@ -122,7 +127,7 @@ class TestRunMine:
     def test_settings_mine_never_reads_leave_outputs_unchanged(self, tmp_path):
         pipeline.run_mine(fixture_config(tmp_path, out_name="base"))
         pipeline.run_mine(fixture_config(
-            tmp_path, out_name="edited", workers=4, loss={"tau": 0.05}, nli={"high": 0.9}
+            tmp_path, out_name="edited", loss={"tau": 0.05}, nli={"high": 0.9}
         ))
         assert output_bytes(tmp_path / "base") == output_bytes(tmp_path / "edited")
 
@@ -176,6 +181,21 @@ class TestRunMine:
         out = tmp_path / "out"
         assert not any(out.iterdir())
 
+    def test_failed_rerun_keeps_previous_outputs(self, tmp_path, monkeypatch):
+        config = fixture_config(tmp_path)
+        pipeline.run_mine(config)
+        out = tmp_path / "out"
+        before = output_bytes(out)
+
+        def boom(path, teacher_sets):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pipeline.fusion, "save_teacher_scores", boom)
+        with pytest.raises(OSError):
+            pipeline.run_mine(fixture_config(tmp_path, rrf_k=70))
+        assert output_bytes(out) == before
+        assert sorted(p.name for p in out.iterdir()) == sorted(before)
+
     def test_endpoint_serves_missing_scores(self, tmp_path, scoring_server):
         config = fixture_config(tmp_path)
         config.paths["reranker_scores"] = None
@@ -213,6 +233,16 @@ class TestCli:
         config = self.write_config(tmp_path, mining={"margin": 1.5})
         assert main(["--config", str(config), "mine"]) == 1
         assert "mining.margin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"pool_size": 2.9}, "pool_size: must be an integer >= 1, got 2.9"),
+        ({"workers": 4}, "workers: unknown setting"),
+        ({"mining": {"top_kk": 5}}, "mining.top_kk: unknown setting"),
+    ], ids=["fractional-pool-size", "unknown-key", "unknown-section-key"])
+    def test_bad_setting_exit_one(self, tmp_path, capsys, overrides, message):
+        config = self.write_config(tmp_path, **overrides)
+        assert main(["--config", str(config), "mine"]) == 1
+        assert message in capsys.readouterr().err
 
     def test_stage_error_exit_two(self, tmp_path, capsys):
         trimmed = tmp_path / "inputs"

@@ -2,9 +2,11 @@
 
 import sys
 import threading
+import time
 
 import pytest
 
+from embkit import rerank
 from embkit.errors import RecordError, RerankProtocolError, RerankTransportError, ValidationError
 from embkit.rerank import RerankClient, RerankGateway, ScoreSet, load_scores
 
@@ -115,30 +117,36 @@ class TestWireProtocol:
         assert scores[0] == scores[1] == default_score("a", "b")
         assert client.upstream_calls == 1
 
-    def test_concurrent_identical_requests_share_one_upstream_call(self):
-        with ScoringServer() as server:
-            server.httpd.delay = 0.3
-            server.httpd.request_seen = threading.Event()
-            client = RerankClient(server.endpoint)
-            results: dict[str, list[float]] = {}
+    def test_each_rejected_chunk_resplit_at_declared_limit(self):
+        with ScoringServer(max_batch_size=2) as server:
+            client = RerankClient(server.endpoint, batch_size=10)
+            pairs = [(f"q{i}", f"d{i}") for i in range(25)]
+            scores = client.request_scores(pairs)
+            assert scores == [default_score(q, d) for q, d in pairs]
+            # Chunks of 10, 10 and 5 are each refused once, then sent as 5 + 5 + 3 chunks of <= 2.
+            assert server.calls == 3 + 13
+            assert client.upstream_calls == 13
+            assert client.batch_size == 2
 
-            def first():
-                results["first"] = client.request_scores([("same q", "same d")])
+    def test_chunks_posted_concurrently_up_to_the_cap(self):
+        lock = threading.Lock()
+        active = peak = 0
 
-            def second():
-                results["second"] = client.request_scores([("same q", "same d")])
+        def slow_score(query, doc):
+            nonlocal active, peak
+            with lock:
+                active += 1
+                peak = max(peak, active)
+            time.sleep(0.05)
+            with lock:
+                active -= 1
+            return default_score(query, doc)
 
-            t1 = threading.Thread(target=first)
-            t1.start()
-            # Guarantee the first request is in flight before the second starts.
-            assert server.httpd.request_seen.wait(timeout=5.0)
-            t2 = threading.Thread(target=second)
-            t2.start()
-            t1.join()
-            t2.join()
-            assert results["first"] == results["second"]
-            assert server.calls == 1
-            assert client.upstream_calls == 1
+        with ScoringServer(score_fn=slow_score) as server:
+            client = RerankClient(server.endpoint, batch_size=1)
+            pairs = [(f"q{i}", "d") for i in range(3 * rerank.MAX_IN_FLIGHT)]
+            assert client.request_scores(pairs) == [default_score(q, d) for q, d in pairs]
+        assert 1 < peak <= rerank.MAX_IN_FLIGHT
 
     def test_concurrent_requests_keep_counters_exact(self):
         switch_interval = sys.getswitchinterval()
