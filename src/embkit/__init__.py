@@ -85,6 +85,6 @@ from .mining import (
 )
 from .pipeline import PipelineConfig, load_config, run_mine, validate_config
 from .ranking import RankedList
-from .rerank import PairScore, RerankClient, RerankGateway, ScoreSet, load_scores
+from .rerank import RerankClient, RerankGateway, ScoreSet, load_scores
 
 __version__ = "0.1.0"

@@ -70,9 +70,6 @@ class Corpus:
             raise ValidationError(f"unknown document id '{doc_id}'")
         return self.documents[doc_id].text
 
-    def ids(self) -> list[str]:
-        return list(self.documents)
-
 
 def load_corpus(path) -> Corpus:
     """Load a JSONL corpus of {"id", "text", "title"?} records.

@@ -78,8 +78,6 @@ def semantic_score(q_vec, d_vec) -> float:
 
 def search_semantic(store: VectorStore, q_vec, n: int) -> RankedList:
     """Top-n by dot product over the whole store, ties broken by ascending id."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
     q = np.asarray(q_vec, dtype=np.float64)
     if q.ndim != 1 or q.size != store.dim:
         raise ValidationError(f"query vector has dimension {q.size}, store expects {store.dim}")

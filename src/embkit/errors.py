@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy and the value predicates that validation shares."""
+
+import math
+import sys
 
 
 class EmbkitError(Exception):
@@ -19,7 +22,11 @@ class RecordError(EmbkitError):
 
 
 class ValidationError(EmbkitError):
-    """An in-memory value violates a contract."""
+    """An in-memory value violates a contract; `problems` lists every violation found."""
+
+    def __init__(self, *problems: str):
+        self.problems = list(problems)
+        super().__init__("; ".join(self.problems))
 
 
 class RerankTransportError(EmbkitError):
@@ -39,3 +46,24 @@ class PipelineStageError(EmbkitError):
         self.cause = cause
         where = f"stage '{stage}'" + (f", query '{query_id}'" if query_id else "")
         super().__init__(f"{where}: {cause}")
+
+
+def is_integer(value) -> bool:
+    """An int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """A finite int or float; bools, NaN, infinities and ints beyond float range are not."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return is_integer(value) and abs(value) <= sys.float_info.max
+
+
+def number_problems(name: str, value, rule: str = "", in_range=lambda v: True) -> list[str]:
+    """`name: must be ...` when value is not a finite number that in_range accepts, else []."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return [f"{name}: must be finite, got {value!r}"]
+    if not is_number(value):
+        return [f"{name}: must be a number, got {value!r}"]
+    return [] if in_range(value) else [f"{name}: must be {rule}, got {value!r}"]

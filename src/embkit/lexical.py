@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .corpus import Document, Query
-from .errors import ValidationError
+from .errors import ValidationError, number_problems
 from .ranking import CHANNEL_LEXICAL, RankedList, top_n
 
 # Runs of Unicode alphanumerics; underscore is a boundary, not a word char.
@@ -38,10 +38,10 @@ class Bm25Params:
     b: float = 0.75
 
     def __post_init__(self):
-        if not self.k1 > 0:
-            raise ValidationError(f"k1 must be > 0, got {self.k1}")
-        if not 0.0 <= self.b <= 1.0:
-            raise ValidationError(f"b must be in [0, 1], got {self.b}")
+        problems = (number_problems("k1", self.k1, "> 0", lambda v: v > 0)
+                    + number_problems("b", self.b, "in [0, 1]", lambda v: 0 <= v <= 1))
+        if problems:
+            raise ValidationError(*problems)
 
 
 @dataclass
@@ -126,8 +126,6 @@ def search_lexical(index: InvertedIndex, params: Bm25Params, query: Query, n: in
     Only documents sharing at least one token with the query appear; fewer
     than n matches yields a shorter list.
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
     scores: dict[str, float] = {}
     for term in tokenize(query.text):
         for doc_id, tf in index.postings.get(term, ()):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import jsonl
-from .errors import RecordError, ValidationError
+from .errors import RecordError, ValidationError, is_integer, number_problems
 from .fusion import TeacherScoreSet
 from .ranking import CHANNEL_RERANKER
 
@@ -30,22 +30,25 @@ SCORE_SOURCE_RERANKER = "reranker"
 
 @dataclass(frozen=True)
 class MiningConfig:
+    """Margin-filter and sampler settings; every value is checked at construction."""
+
     margin: float = 0.95
     top_k: int = 100
     num_negatives: int = 7
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.margin <= 1.0:
-            raise ValidationError(f"margin must be in (0, 1], got {self.margin}")
-        if self.top_k < 1:
-            raise ValidationError(f"top_k must be >= 1, got {self.top_k}")
-        if self.num_negatives < 1:
-            raise ValidationError(f"num_negatives must be >= 1, got {self.num_negatives}")
-        if self.num_negatives > self.top_k:
-            raise ValidationError(
-                f"num_negatives ({self.num_negatives}) must not exceed top_k ({self.top_k})"
-            )
+        problems = _margin_problems(self.margin)
+        for name, value in (("top_k", self.top_k), ("num_negatives", self.num_negatives)):
+            if not is_integer(value) or value < 1:
+                problems.append(f"{name}: must be an integer >= 1, got {value!r}")
+        if (is_integer(self.top_k) and is_integer(self.num_negatives)
+                and 1 <= self.top_k < self.num_negatives):
+            problems.append(f"num_negatives: must not exceed top_k {self.top_k}, got {self.num_negatives}")
+        if not is_integer(self.seed):
+            problems.append(f"seed: must be an integer, got {self.seed!r}")
+        if problems:
+            raise ValidationError(*problems)
 
 
 @dataclass(frozen=True)
@@ -74,10 +77,15 @@ class MinedNegatives:
     seed: int
 
 
+def _margin_problems(margin) -> list[str]:
+    return number_problems("margin", margin, "in (0, 1]", lambda v: 0 < v <= 1)
+
+
 def margin_threshold(positive_score: float, margin: float) -> float:
     """Maximum allowable teacher score for a negative: positive_score * margin."""
-    if not 0.0 < margin <= 1.0:
-        raise ValidationError(f"margin must be in (0, 1], got {margin}")
+    problems = _margin_problems(margin)
+    if problems:
+        raise ValidationError(*problems)
     return positive_score * margin
 
 

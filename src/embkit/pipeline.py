@@ -11,6 +11,7 @@ bytes are fully determined by (config, inputs, seed).
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import dense, fusion, lexical, mining, rerank
-from .errors import EmbkitError, PipelineStageError, ValidationError
+from .errors import EmbkitError, PipelineStageError, ValidationError, is_integer, is_number, number_problems
 from .forge import (
     DEFAULT_EOS_MARKER,
     InstructionRegistry,
@@ -30,11 +31,11 @@ from .forge import (
 from .ranking import CHANNEL_RERANKER, top_n
 
 DEFAULTS: dict = {
-    "bm25": {"k1": 1.2, "b": 0.75},
+    "bm25": dataclasses.asdict(lexical.Bm25Params()),
     "rrf_k": 60.0,
     "pool_size": 50,
     "score_source": mining.SCORE_SOURCE_FUSED,
-    "mining": {"margin": 0.95, "top_k": 100, "num_negatives": 7, "seed": 0},
+    "mining": dataclasses.asdict(mining.MiningConfig()),
     "loss": {"tau": 1.0, "tau_teacher": None, "lambda": 0.5},
     "nli": {"high": 1.0, "low": 0.0},
     "prompt": {"eos_marker": DEFAULT_EOS_MARKER, "shots": {}},
@@ -66,18 +67,10 @@ class PipelineConfig:
         return self.paths.get(key)
 
     def mining_config(self) -> mining.MiningConfig:
-        section = self.settings["mining"]
-        return mining.MiningConfig(
-            margin=section["margin"],
-            top_k=section["top_k"],
-            num_negatives=section["num_negatives"],
-            seed=section["seed"],
-        )
+        return mining.MiningConfig(**self.settings["mining"])
 
     def bm25_params(self) -> lexical.Bm25Params:
-        return lexical.Bm25Params(
-            k1=self.settings["bm25"]["k1"], b=self.settings["bm25"]["b"]
-        )
+        return lexical.Bm25Params(**self.settings["bm25"])
 
     def prompt_shots(self) -> dict[str, list[tuple[str, str]]]:
         """Few-shot (query, passage) examples per task."""
@@ -134,65 +127,44 @@ def validate_config(config: PipelineConfig) -> list[str]:
 
 
 def validate_settings(config: PipelineConfig) -> list[str]:
-    """Unknown keys, range and cross-field problems of the settings; paths are not looked at."""
+    """Unknown keys, range and cross-field problems of the settings; paths are not looked at.
+
+    `Bm25Params` and `MiningConfig` own the rules of the `bm25` and `mining`
+    sections; their problems are reported here with the section prefixed.
+    """
     s = config.settings
     errors = [f"{key}: unknown setting" for key in s if key not in DEFAULTS]
     for section, known in DEFAULTS.items():
         if isinstance(known, dict) and isinstance(s.get(section), dict):
             errors += [f"{section}.{key}: unknown setting" for key in s[section] if key not in known]
+    for section, owner in (("bm25", lexical.Bm25Params), ("mining", mining.MiningConfig)):
+        fields = {key: value for key, value in s.get(section, {}).items() if key in DEFAULTS[section]}
+        try:
+            owner(**fields)
+        except ValidationError as exc:
+            errors += [f"{section}.{problem}" for problem in exc.problems]
 
     def check(condition: bool, message: str) -> None:
         if not condition:
             errors.append(message)
 
-    def number(section: str, key: str, value) -> bool:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            errors.append(f"{section}.{key}: must be a number, got {value!r}")
-            return False
-        return True
-
-    bm25 = s.get("bm25", {})
-    if number("bm25", "k1", bm25.get("k1")):
-        check(bm25["k1"] > 0, f"bm25.k1: must be > 0, got {bm25['k1']}")
-    if number("bm25", "b", bm25.get("b")):
-        check(0 <= bm25["b"] <= 1, f"bm25.b: must be in [0, 1], got {bm25['b']}")
-    if number("", "rrf_k", s.get("rrf_k")):
-        check(s["rrf_k"] > 0, f"rrf_k: must be > 0, got {s['rrf_k']}")
+    errors += number_problems("rrf_k", s.get("rrf_k"), "> 0", lambda v: v > 0)
     pool_size = s.get("pool_size")
-    check(isinstance(pool_size, int) and not isinstance(pool_size, bool) and pool_size >= 1,
-          f"pool_size: must be an integer >= 1, got {pool_size!r}")
+    check(is_integer(pool_size) and pool_size >= 1, f"pool_size: must be an integer >= 1, got {pool_size!r}")
     check(
         s.get("score_source") in (mining.SCORE_SOURCE_FUSED, mining.SCORE_SOURCE_RERANKER),
         f"score_source: must be 'fused' or 'reranker', got {s.get('score_source')!r}",
     )
 
-    m = s.get("mining", {})
-    if number("mining", "margin", m.get("margin")):
-        check(0 < m["margin"] <= 1, f"mining.margin: must be in (0, 1], got {m['margin']}")
-    for key in ("top_k", "num_negatives"):
-        value = m.get(key)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            errors.append(f"mining.{key}: must be an integer >= 1, got {value!r}")
-    if isinstance(m.get("top_k"), int) and isinstance(m.get("num_negatives"), int):
-        check(
-            m["num_negatives"] <= m["top_k"],
-            f"mining.num_negatives: {m['num_negatives']} exceeds mining.top_k {m['top_k']}",
-        )
-    check(isinstance(m.get("seed"), int) and not isinstance(m.get("seed"), bool),
-          f"mining.seed: must be an integer, got {m.get('seed')!r}")
-
     loss_cfg = s.get("loss", {})
-    if number("loss", "tau", loss_cfg.get("tau")):
-        check(loss_cfg["tau"] > 0, f"loss.tau: must be > 0, got {loss_cfg['tau']}")
-    if loss_cfg.get("tau_teacher") is not None and number("loss", "tau_teacher", loss_cfg.get("tau_teacher")):
-        check(loss_cfg["tau_teacher"] > 0,
-              f"loss.tau_teacher: must be > 0, got {loss_cfg['tau_teacher']}")
-    if number("loss", "lambda", loss_cfg.get("lambda")):
-        check(0 <= loss_cfg["lambda"] <= 1,
-              f"loss.lambda: must be in [0, 1], got {loss_cfg['lambda']}")
+    errors += number_problems("loss.tau", loss_cfg.get("tau"), "> 0", lambda v: v > 0)
+    if loss_cfg.get("tau_teacher") is not None:
+        errors += number_problems("loss.tau_teacher", loss_cfg["tau_teacher"], "> 0", lambda v: v > 0)
+    errors += number_problems("loss.lambda", loss_cfg.get("lambda"), "in [0, 1]", lambda v: 0 <= v <= 1)
 
     nli = s.get("nli", {})
-    if number("nli", "high", nli.get("high")) and number("nli", "low", nli.get("low")):
+    errors += number_problems("nli.high", nli.get("high")) + number_problems("nli.low", nli.get("low"))
+    if is_number(nli.get("high")) and is_number(nli.get("low")):
         check(0 <= nli["low"] < nli["high"] <= 1,
               f"nli: need 0 <= low < high <= 1, got low={nli['low']}, high={nli['high']}")
 

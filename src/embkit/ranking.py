@@ -48,10 +48,6 @@ class RankedList:
     def doc_ids(self) -> list[str]:
         return [doc_id for doc_id, _ in self.entries]
 
-    def ranks(self) -> dict[str, int]:
-        """1-based rank per doc id."""
-        return {doc_id: rank for rank, (doc_id, _) in enumerate(self.entries, start=1)}
-
     def scores(self) -> dict[str, float]:
         return dict(self.entries)
 

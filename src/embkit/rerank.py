@@ -23,7 +23,6 @@ import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import jsonl
@@ -31,13 +30,6 @@ from .errors import RecordError, RerankProtocolError, RerankTransportError, Vali
 
 # Chunks of one `request_scores` call posted at once.
 MAX_IN_FLIGHT = 4
-
-
-@dataclass(frozen=True)
-class PairScore:
-    query_id: str
-    doc_id: str
-    score: float
 
 
 class ScoreSet:
@@ -233,9 +225,6 @@ class RerankGateway:
     def __init__(self, scores: ScoreSet | None = None, client: RerankClient | None = None):
         self.scores = scores if scores is not None else ScoreSet()
         self.client = client
-
-    def score(self, query_id: str, doc_id: str) -> float | None:
-        return self.scores.score(query_id, doc_id)
 
     def ensure_scores(self, query_id: str, query_text: str,
                       docs: Iterable[tuple[str, str]]) -> dict[str, float | None]:

@@ -115,6 +115,22 @@ class TestIdf:
         assert idf(index, "a") > 0
 
 
+class TestBm25Params:
+    def test_string_k1_rejected(self):
+        with pytest.raises(ValidationError, match="k1: must be a number, got 'x'"):
+            Bm25Params(k1="x")
+
+    def test_int_beyond_float_range_rejected(self):
+        # JSON parses such an int exactly; scoring with it would overflow.
+        with pytest.raises(ValidationError, match="k1: must be a number"):
+            Bm25Params(k1=10**400)
+
+    def test_every_problem_named_at_once(self):
+        with pytest.raises(ValidationError) as caught:
+            Bm25Params(k1=math.inf, b=2)
+        assert caught.value.problems == ["k1: must be finite, got inf", "b: must be in [0, 1], got 2"]
+
+
 class TestBm25Score:
     def test_zero_overlap(self):
         index = build_index(make_docs({"d1": "a a b"}))

@@ -186,6 +186,10 @@ class TestMiningConfig:
         with pytest.raises(ValidationError, match="margin"):
             MiningConfig(margin=1.5, top_k=10, num_negatives=7, seed=0)
 
+    def test_fractional_top_k_rejected(self):
+        with pytest.raises(ValidationError, match="top_k: must be an integer >= 1, got 10.5"):
+            MiningConfig(top_k=10.5, num_negatives=2)
+
 
 def test_mine_composes_filter_and_sample():
     ts = teacher_set(p=1.0, **{f"d{i:02d}": 0.9 - i * 0.02 for i in range(12)})

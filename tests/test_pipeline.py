@@ -1,9 +1,13 @@
 """Config validation, end-to-end mining, determinism, and the CLI surface."""
 
 import json
+import math
+import re
 import shutil
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from embkit import pipeline, rerank
 from embkit.cli import main
@@ -14,6 +18,18 @@ from embkit.mining import load_mined
 from conftest import FIXTURES, ScoringServer
 
 PIPELINE_FIXTURE = FIXTURES / "pipeline"
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# Every leaf setting: (section, key), or (None, key) at the top level.
+KNOWN_SETTINGS = [
+    (section, key) for section, default in pipeline.DEFAULTS.items() if isinstance(default, dict) for key in default
+] + [(None, key) for key, default in pipeline.DEFAULTS.items() if not isinstance(default, dict)]
+# Two draws in three are bare numbers, NaN and the infinities included.
+JSON_VALUES = st.integers() | st.floats() | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
 
 
 def fixture_config(tmp_path, out_name="out", **overrides):
@@ -63,11 +79,38 @@ class TestValidateConfig:
         assert "rrf_k" in joined and "mining.margin" in joined
         assert "pool_sise: unknown setting" in joined and "paths.corpus" in joined
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.sampled_from(KNOWN_SETTINGS), JSON_VALUES, min_size=1, max_size=3))
+    def test_any_json_value_yields_problems_or_buildable_config(self, placed):
+        config = pipeline.PipelineConfig()
+        for (section, key), value in placed.items():
+            if section is None:
+                config.settings[key] = value
+            else:
+                config.settings[section][key] = value
+        problems = pipeline.validate_settings(config)
+        assert isinstance(problems, list) and all(isinstance(p, str) for p in problems)
+        if not problems:
+            params, mining_config = config.bm25_params(), config.mining_config()
+            assert all(math.isfinite(v) for v in (params.k1, params.b, mining_config.margin, config["rrf_k"]))
+
+    def test_bm25_and_mining_problems_in_one_pass(self, tmp_path):
+        config = fixture_config(tmp_path, mining={"margin": 0, "top_k": 1.5}, bm25={"b": -0.5})
+        problems = pipeline.validate_settings(config)
+        assert sorted(p.split(": ")[0] for p in problems) == ["bm25.b", "mining.margin", "mining.top_k"]
+
     def test_reranker_source_required(self, tmp_path):
         config = fixture_config(tmp_path)
         config.paths["reranker_scores"] = None
         problems = pipeline.validate_config(config)
         assert any("reranker" in p for p in problems)
+
+
+def test_readme_defaults_match_pipeline_defaults():
+    block = re.search(r"### Configuration.*?```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    documented = json.loads(block.group(1))
+    documented.pop("paths")
+    assert documented == pipeline.DEFAULTS
 
 
 class TestRunMine:
@@ -238,7 +281,11 @@ class TestCli:
         ({"pool_size": 2.9}, "pool_size: must be an integer >= 1, got 2.9"),
         ({"workers": 4}, "workers: unknown setting"),
         ({"mining": {"top_kk": 5}}, "mining.top_kk: unknown setting"),
-    ], ids=["fractional-pool-size", "unknown-key", "unknown-section-key"])
+        ({"rrf_k": "x"}, "\n  rrf_k: must be a number, got 'x'"),
+        ({"bm25": {"k1": float("inf")}}, "bm25.k1: must be finite, got inf"),
+        ({"rrf_k": float("inf")}, "rrf_k: must be finite, got inf"),
+    ], ids=["fractional-pool-size", "unknown-key", "unknown-section-key", "string-rrf-k",
+            "infinite-k1", "infinite-rrf-k"])
     def test_bad_setting_exit_one(self, tmp_path, capsys, overrides, message):
         config = self.write_config(tmp_path, **overrides)
         assert main(["--config", str(config), "mine"]) == 1
