@@ -49,8 +49,10 @@ def build_parser() -> argparse.ArgumentParser:
     convert = sub.add_parser("convert-nli", help="convert NLI pairs to similarity pairs")
     convert.add_argument("--input", required=True)
     convert.add_argument("--output", required=True)
-    convert.add_argument("--high", type=float, help="similarity for entailment (default from config or 1.0)")
-    convert.add_argument("--low", type=float, help="similarity for contradiction (default from config or 0.0)")
+    convert.add_argument("--high", type=float, default=forge.DEFAULT_HIGH_SIMILARITY,
+                         help="similarity for entailment (default 1.0)")
+    convert.add_argument("--low", type=float, default=forge.DEFAULT_LOW_SIMILARITY,
+                         help="similarity for contradiction (default 0.0)")
 
     dedup = sub.add_parser("dedup", help="expand multi-positive pairs and drop duplicates")
     dedup.add_argument("--input", required=True)
@@ -65,9 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     grad_cmd = sub.add_parser("grad-check", help="finite-difference check of the loss gradients")
     for cmd in (loss_cmd, grad_cmd):
         cmd.add_argument("--batch", required=True, help="JSONL of s_pos / s_neg / teacher lines")
-        cmd.add_argument("--tau", type=float, help="contrastive temperature (default from config or 1.0)")
+        cmd.add_argument("--tau", type=float, default=1.0, help="contrastive temperature (default 1.0)")
         cmd.add_argument("--tau-teacher", type=float, help="distillation temperature (default: tau)")
-        cmd.add_argument("--lambda", dest="blend", type=float,
+        cmd.add_argument("--lambda", dest="blend", type=float, default=0.5,
                          help="blend weight for InfoNCE vs distillation (default 0.5)")
         cmd.add_argument("--in-batch", action="store_true",
                          help="append other queries' positives to each negative set")
@@ -85,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args, *, needs_paths: bool = True) -> pipeline.PipelineConfig:
     """The validated config with --seed and --strict applied.
 
-    Commands that read no input paths fall back to the defaults without
-    --config, and their config is checked for everything but paths.
+    `format-prompts`, which reads no input paths, falls back to the defaults
+    without --config, and its config is checked for everything but paths.
     """
     if args.config:
         config = pipeline.load_config(args.config)
@@ -143,15 +145,9 @@ def _cmd_mine(args) -> int:
     return EXIT_OK
 
 
-def _flag(value, configured):
-    """A command-line flag's value when given, else the config's."""
-    return configured if value is None else value
-
-
 def _cmd_convert_nli(args) -> int:
-    nli = _load_config(args, needs_paths=False)["nli"]
     records = forge.load_nli(args.input)
-    converted = forge.convert_nli(records, high=_flag(args.high, nli["high"]), low=_flag(args.low, nli["low"]))
+    converted = forge.convert_nli(records, high=args.high, low=args.low)
     forge.save_sts(args.output, converted)
     print(f"converted {len(records)} NLI pairs -> {len(converted)} similarity pairs ({args.output})")
     return EXIT_OK
@@ -189,39 +185,36 @@ def _cmd_format_prompts(args) -> int:
     return EXIT_OK
 
 
-def _loss_settings(args) -> tuple[float, float | None, float]:
-    loss_cfg = _load_config(args, needs_paths=False)["loss"]
-    return (_flag(args.tau, loss_cfg["tau"]), _flag(args.tau_teacher, loss_cfg["tau_teacher"]),
-            _flag(args.blend, loss_cfg["lambda"]))
+def _load_batch(args):
+    return loss_mod.load_batch_file(args.batch, tau=args.tau, tau_teacher=args.tau_teacher,
+                                    in_batch=args.in_batch)
 
 
 def _cmd_loss(args) -> int:
-    tau, tau_teacher, blend = _loss_settings(args)
-    batch, teacher = loss_mod.load_batch_file(
-        args.batch, tau=tau, tau_teacher=tau_teacher, in_batch=args.in_batch
-    )
-    print(f"infonce {loss_mod.infonce_loss(batch):.10f}")
+    batch, teacher = _load_batch(args)
+    # Every value is computed before the first line is printed, so a bad
+    # flag leaves stdout empty.
+    lines = [f"infonce {loss_mod.infonce_loss(batch):.10f}"]
     if teacher is not None:
-        print(f"distill {loss_mod.soft_distill_loss(batch, teacher):.10f}")
-        print(f"blend({blend:g}) {loss_mod.blended_loss(batch, teacher, blend):.10f}")
-    if getattr(args, "also_grad", False):
-        _print_grad_errors(batch, teacher, eps=1e-5)
+        lines.append(f"distill {loss_mod.soft_distill_loss(batch, teacher):.10f}")
+        lines.append(f"blend({args.blend:g}) {loss_mod.blended_loss(batch, teacher, args.blend):.10f}")
+    if args.also_grad:
+        lines += _grad_error_lines(batch, teacher, eps=1e-5)
+    print("\n".join(lines))
     return EXIT_OK
 
 
 def _cmd_grad_check(args) -> int:
-    tau, tau_teacher, _ = _loss_settings(args)
-    batch, teacher = loss_mod.load_batch_file(
-        args.batch, tau=tau, tau_teacher=tau_teacher, in_batch=args.in_batch
-    )
-    _print_grad_errors(batch, teacher, eps=args.eps)
+    batch, teacher = _load_batch(args)
+    print("\n".join(_grad_error_lines(batch, teacher, eps=args.eps)))
     return EXIT_OK
 
 
-def _print_grad_errors(batch, teacher, eps: float) -> None:
-    print(f"grad-check infonce {loss_mod.infonce_grad_check(batch, eps):.3e}")
+def _grad_error_lines(batch, teacher, eps: float) -> list[str]:
+    lines = [f"grad-check infonce {loss_mod.infonce_grad_check(batch, eps):.3e}"]
     if teacher is not None:
-        print(f"grad-check distill {loss_mod.distill_grad_check(batch, teacher, eps):.3e}")
+        lines.append(f"grad-check distill {loss_mod.distill_grad_check(batch, teacher, eps):.3e}")
+    return lines
 
 
 def _cmd_eval(args) -> int:

@@ -32,7 +32,10 @@ class VectorStore:
         return self.vectors[vec_id]
 
     def add(self, vec_id: str, vector) -> None:
-        arr = np.asarray(vector, dtype=np.float64)
+        try:
+            arr = np.asarray(vector, dtype=np.float64)
+        except OverflowError as exc:
+            raise ValidationError(f"vector '{vec_id}' has a component beyond float range") from exc
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError(f"vector '{vec_id}' must be a non-empty 1-d array")
         if not np.all(np.isfinite(arr)):

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from . import jsonl
+from .errors import RecordError, ValidationError, is_number, number_problems
 
 GRAD_EPS_MIN = 1e-7
 GRAD_EPS_MAX = 1e-3
@@ -63,8 +64,7 @@ class SimBatch:
     def __post_init__(self):
         self.sims_pos = np.asarray(self.sims_pos, dtype=np.float64).reshape(-1)
         self.sims_neg = [np.asarray(s, dtype=np.float64).reshape(-1) for s in self.sims_neg]
-        if not self.tau > 0:
-            raise ValidationError(f"temperature must be > 0, got {self.tau}")
+        _check_number("temperature", self.tau, "> 0", lambda v: v > 0)
         if len(self.sims_neg) != self.size:
             raise ValidationError(
                 f"{self.size} positives but {len(self.sims_neg)} negative lists"
@@ -92,11 +92,17 @@ class TeacherDistribution:
 
     def __post_init__(self):
         self.scores = [np.asarray(s, dtype=np.float64).reshape(-1) for s in self.scores]
-        if not self.tau > 0:
-            raise ValidationError(f"teacher temperature must be > 0, got {self.tau}")
+        _check_number("teacher temperature", self.tau, "> 0", lambda v: v > 0)
         for i, s in enumerate(self.scores):
             if s.size < 2:
                 raise ValidationError(f"query {i}: teacher needs at least 2 candidates")
+
+
+def _check_number(name: str, value, rule: str, in_range) -> None:
+    """Raise ValidationError unless value is a finite number that in_range accepts."""
+    problems = number_problems(name, value, rule, in_range)
+    if problems:
+        raise ValidationError(*problems)
 
 
 def _log_softmax(values: np.ndarray) -> np.ndarray:
@@ -184,16 +190,18 @@ def soft_distill_grad(batch: SimBatch, teacher: TeacherDistribution) -> np.ndarr
     return np.concatenate([grad_pos] + grad_neg)
 
 
+def _check_blend(blend) -> None:
+    _check_number("blend weight", blend, "in [0, 1]", lambda v: 0 <= v <= 1)
+
+
 def blended_loss(batch: SimBatch, teacher: TeacherDistribution, blend: float = 0.5) -> float:
     """Convex mix blend * InfoNCE + (1 - blend) * distillation."""
-    if not 0.0 <= blend <= 1.0:
-        raise ValidationError(f"blend weight must be in [0, 1], got {blend}")
+    _check_blend(blend)
     return blend * infonce_loss(batch) + (1.0 - blend) * soft_distill_loss(batch, teacher)
 
 
 def blended_grad(batch: SimBatch, teacher: TeacherDistribution, blend: float = 0.5) -> np.ndarray:
-    if not 0.0 <= blend <= 1.0:
-        raise ValidationError(f"blend weight must be in [0, 1], got {blend}")
+    _check_blend(blend)
     return blend * infonce_grad(batch) + (1.0 - blend) * soft_distill_grad(batch, teacher)
 
 
@@ -255,24 +263,22 @@ def load_batch_file(
 ) -> tuple[SimBatch, TeacherDistribution | None]:
     """Read {"s_pos", "s_neg", "teacher"?} lines into a batch and optional teacher.
 
+    Every similarity and teacher score must be a finite JSON number.
     Teacher scores, when present, must appear on every line and align with
     [positive, negatives...]; the teacher temperature defaults to the
     student's.
     """
-    from . import jsonl
-
     pos: list[float] = []
     negs: list[list[float]] = []
     teacher_rows: list[list[float]] = []
     for lineno, record in jsonl.iter_records(path):
         s_pos = jsonl.require(record, "s_pos", path, lineno)
-        s_neg = jsonl.require(record, "s_neg", path, lineno)
-        if not isinstance(s_neg, list):
-            raise ValidationError(f"{path}:{lineno}: 's_neg' must be a list")
+        if not is_number(s_pos):
+            raise RecordError(path, lineno, f"field 's_pos' must be a finite number, got {s_pos!r}")
         pos.append(float(s_pos))
-        negs.append([float(x) for x in s_neg])
+        negs.append(_number_list(record, "s_neg", path, lineno))
         if "teacher" in record:
-            teacher_rows.append([float(x) for x in record["teacher"]])
+            teacher_rows.append(_number_list(record, "teacher", path, lineno))
     if teacher_rows and len(teacher_rows) != len(pos):
         raise ValidationError(
             f"{path}: 'teacher' must be present on every line or none "
@@ -290,3 +296,10 @@ def load_batch_file(
         )
         _aligned_student(batch, teacher)
     return batch, teacher
+
+
+def _number_list(record: dict, name: str, path, lineno: int) -> list[float]:
+    values = jsonl.require(record, name, path, lineno)
+    if not isinstance(values, list) or not all(is_number(v) for v in values):
+        raise RecordError(path, lineno, f"field '{name}' must be a list of finite numbers")
+    return [float(v) for v in values]

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import dense, fusion, lexical, mining, rerank
-from .errors import EmbkitError, PipelineStageError, ValidationError, is_integer, is_number, number_problems
+from .errors import EmbkitError, PipelineStageError, ValidationError, is_integer, number_problems
 from .forge import (
     DEFAULT_EOS_MARKER,
     InstructionRegistry,
@@ -36,15 +36,11 @@ DEFAULTS: dict = {
     "pool_size": 50,
     "score_source": mining.SCORE_SOURCE_FUSED,
     "mining": dataclasses.asdict(mining.MiningConfig()),
-    "loss": {"tau": 1.0, "tau_teacher": None, "lambda": 0.5},
-    "nli": {"high": 1.0, "low": 0.0},
     "prompt": {"eos_marker": DEFAULT_EOS_MARKER, "shots": {}},
     "strict": True,
     "retrieval_tasks": None,
 }
 
-_HASHED_KEYS = ("bm25", "rrf_k", "pool_size", "score_source", "mining", "prompt",
-                "strict", "retrieval_tasks")
 _INPUT_PATH_KEYS = ("corpus", "queries", "qrels", "doc_vectors", "query_vectors")
 
 TRAINING_RECORDS_FILE = "training_records.jsonl"
@@ -78,13 +74,12 @@ class PipelineConfig:
                 for task, entries in self.settings["prompt"].get("shots", {}).items()}
 
     def config_hash(self) -> str:
-        """Digest of the settings that can change `mine` output bytes.
+        """Digest of the settings, all of which `mine` reads.
 
-        Paths are excluded (inputs are digested by content in the manifest
-        instead), and so are `loss` and `nli`, which `mine` never reads.
+        Paths are excluded: inputs are digested by content in the manifest
+        instead.
         """
-        mined_by = {key: self.settings.get(key) for key in _HASHED_KEYS}
-        canonical = json.dumps(mined_by, sort_keys=True, separators=(",", ":"))
+        canonical = json.dumps(self.settings, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -155,18 +150,6 @@ def validate_settings(config: PipelineConfig) -> list[str]:
         s.get("score_source") in (mining.SCORE_SOURCE_FUSED, mining.SCORE_SOURCE_RERANKER),
         f"score_source: must be 'fused' or 'reranker', got {s.get('score_source')!r}",
     )
-
-    loss_cfg = s.get("loss", {})
-    errors += number_problems("loss.tau", loss_cfg.get("tau"), "> 0", lambda v: v > 0)
-    if loss_cfg.get("tau_teacher") is not None:
-        errors += number_problems("loss.tau_teacher", loss_cfg["tau_teacher"], "> 0", lambda v: v > 0)
-    errors += number_problems("loss.lambda", loss_cfg.get("lambda"), "in [0, 1]", lambda v: 0 <= v <= 1)
-
-    nli = s.get("nli", {})
-    errors += number_problems("nli.high", nli.get("high")) + number_problems("nli.low", nli.get("low"))
-    if is_number(nli.get("high")) and is_number(nli.get("low")):
-        check(0 <= nli["low"] < nli["high"] <= 1,
-              f"nli: need 0 <= low < high <= 1, got low={nli['low']}, high={nli['high']}")
 
     prompt = s.get("prompt", {})
     check(isinstance(prompt.get("eos_marker"), str) and prompt.get("eos_marker") != "",

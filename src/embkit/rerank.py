@@ -26,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Sequence
 
 from . import jsonl
-from .errors import RecordError, RerankProtocolError, RerankTransportError, ValidationError
+from .errors import RecordError, RerankProtocolError, RerankTransportError, ValidationError, is_number
 
 # Chunks of one `request_scores` call posted at once.
 MAX_IN_FLIGHT = 4
@@ -89,7 +89,7 @@ def load_scores(path) -> ScoreSet:
         score = jsonl.require(record, "score", path, lineno)
         if not isinstance(qid, str) or not isinstance(did, str):
             raise RecordError(path, lineno, "ids must be strings")
-        if not isinstance(score, (int, float)) or isinstance(score, bool) or not math.isfinite(score):
+        if not is_number(score):
             raise RecordError(path, lineno, f"score for ({qid}, {did}) must be a finite number")
         if (qid, did) in seen:
             raise RecordError(path, lineno, f"duplicate score for pair ({qid}, {did})")
@@ -208,7 +208,7 @@ def _validate_response(payload, expected: int) -> list[float]:
         raise RerankProtocolError(f"expected {expected} scores, got {got}")
     result: list[float] = []
     for value in scores:
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+        if not is_number(value):
             raise RerankProtocolError(f"non-finite or non-numeric score in response: {value!r}")
         result.append(float(value))
     return result

@@ -42,6 +42,12 @@ class TestLoadVectors:
         with pytest.raises(RecordError):
             load_vectors(path)
 
+    def test_component_beyond_float_range_rejected(self, tmp_path):
+        path = tmp_path / "vectors.jsonl"
+        write_lines(path, ['{"id": "a", "vector": [1, 0]}', '{"id": "b", "vector": [1, 1%s]}' % ("0" * 400)])
+        with pytest.raises(RecordError, match="vectors.jsonl:2: vector 'b'"):
+            load_vectors(path)
+
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "vectors.jsonl"
         write_lines(path, [

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from embkit.errors import ValidationError
+from embkit.errors import RecordError, ValidationError
 from embkit.loss import (
     SimBatch,
     TeacherDistribution,
@@ -261,4 +261,24 @@ class TestBatchFile:
             encoding="utf-8",
         )
         with pytest.raises(ValidationError, match="every line"):
+            load_batch_file(path)
+
+    @pytest.mark.parametrize("line, field", [
+        ('{"s_pos": "x", "s_neg": [0.0]}', "s_pos"),
+        ('{"s_pos": null, "s_neg": [0.0]}', "s_pos"),
+        ('{"s_pos": true, "s_neg": [0.0]}', "s_pos"),
+        ('{"s_pos": "1.5", "s_neg": [0.0]}', "s_pos"),
+        ('{"s_pos": NaN, "s_neg": [0.0]}', "s_pos"),
+        ('{"s_pos": 1%s, "s_neg": [0.0]}' % ("0" * 400), "s_pos"),
+        ('{"s_pos": 0.0, "s_neg": 0.5}', "s_neg"),
+        ('{"s_pos": 0.0, "s_neg": [true]}', "s_neg"),
+        ('{"s_pos": 0.0, "s_neg": [0.0], "teacher": 5}', "teacher"),
+        ('{"s_pos": 0.0, "s_neg": [0.0], "teacher": [1.0, "0"]}', "teacher"),
+    ], ids=["string", "null", "bool", "numeric-string", "nan", "beyond-float-range",
+            "scalar-negatives", "bool-negative", "scalar-teacher", "string-teacher-score"])
+    def test_bad_field_names_line_and_field(self, tmp_path, line, field):
+        good = '{"s_pos": 0.0, "s_neg": [0.0]%s}' % (', "teacher": [1.0, 0.0]' if field == "teacher" else "")
+        path = tmp_path / "batch.jsonl"
+        path.write_text(good + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(RecordError, match=f"batch.jsonl:2: field '{field}'"):
             load_batch_file(path)

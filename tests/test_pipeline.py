@@ -167,12 +167,12 @@ class TestRunMine:
             != bumped["outputs"][pipeline.TEACHER_SCORES_FILE]
         )
 
-    def test_settings_mine_never_reads_leave_outputs_unchanged(self, tmp_path):
-        pipeline.run_mine(fixture_config(tmp_path, out_name="base"))
-        pipeline.run_mine(fixture_config(
-            tmp_path, out_name="edited", loss={"tau": 0.05}, nli={"high": 0.9}
-        ))
-        assert output_bytes(tmp_path / "base") == output_bytes(tmp_path / "edited")
+    def test_fixture_config_hash_is_pinned(self, tmp_path):
+        # Any change to what the hash covers, or to how it is serialized,
+        # changes every manifest; this makes such a change visible.
+        assert fixture_config(tmp_path).config_hash() == (
+            "e0151ded7ac8ee6c2461c0e5761984f87b3b28759456ffb0a9d23550056dc65e"
+        )
 
     def test_strict_missing_score_aborts_naming_pair(self, tmp_path):
         trimmed = tmp_path / "inputs"
@@ -383,29 +383,36 @@ class TestCli:
         out = capsys.readouterr().out
         assert "grad-check infonce" in out and "grad-check distill" in out
 
-    @pytest.mark.parametrize("settings, command, message", [
-        ({"prompt": {"eos_marker": ""}}, "format-prompts",
-         "prompt.eos_marker: must be a non-empty string"),
-        ({"prompt": {"shots": {"STS12": "oops"}}}, "format-prompts",
+    @pytest.mark.parametrize("settings, message", [
+        ({"prompt": {"eos_marker": ""}}, "prompt.eos_marker: must be a non-empty string"),
+        ({"prompt": {"shots": {"STS12": "oops"}}},
          "prompt.shots.STS12: must be a list of [query, passage] pairs"),
-        ({"loss": {"tau": "1"}}, "loss", "loss.tau: must be a number, got '1'"),
-        ({"prompt": "x"}, "format-prompts", "prompt: must be an object, got 'x'"),
-        ({"paths": {"corpus": 5}}, "format-prompts", "paths: must map names to strings or null"),
-    ], ids=["empty-eos", "bad-shots", "string-tau", "prompt-not-object", "path-not-string"])
-    def test_commands_without_paths_still_check_settings(self, tmp_path, capsys,
-                                                         settings, command, message):
+        ({"loss": {"tau": 1}}, "loss: unknown setting"),
+        ({"prompt": "x"}, "prompt: must be an object, got 'x'"),
+        ({"paths": {"corpus": 5}}, "paths: must map names to strings or null"),
+    ], ids=["empty-eos", "bad-shots", "loss-section", "prompt-not-object", "path-not-string"])
+    def test_commands_without_paths_still_check_settings(self, tmp_path, capsys, settings, message):
         queries = tmp_path / "queries.jsonl"
         queries.write_text('{"id": "q1", "text": "hello", "task": "STS12"}\n', encoding="utf-8")
-        batch = tmp_path / "batch.jsonl"
-        batch.write_text('{"s_pos": 0.0, "s_neg": [0.0]}\n', encoding="utf-8")
         config = tmp_path / "config.json"
         config.write_text(json.dumps(settings), encoding="utf-8")
-        command_args = {
-            "format-prompts": ["--input", str(queries), "--output", str(tmp_path / "prompts.jsonl")],
-            "loss": ["--batch", str(batch)],
-        }[command]
-        assert main(["--config", str(config), command, *command_args]) == 1
+        prompts = tmp_path / "prompts.jsonl"
+        assert main(["--config", str(config), "format-prompts", "--input", str(queries),
+                     "--output", str(prompts)]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--tau", "inf"], "temperature: must be finite, got inf"),
+        (["--tau-teacher", "inf"], "teacher temperature: must be finite, got inf"),
+        (["--lambda", "2"], "blend weight: must be in [0, 1], got 2.0"),
+    ], ids=["infinite-tau", "infinite-tau-teacher", "lambda-above-one"])
+    def test_bad_loss_flag_exit_one_before_any_output(self, tmp_path, capsys, flags, message):
+        batch = tmp_path / "batch.jsonl"
+        batch.write_text('{"s_pos": 0.0, "s_neg": [0.0], "teacher": [40.0, 0.0]}\n', encoding="utf-8")
+        assert main(["loss", "--batch", str(batch), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_eval_subcommand(self, tmp_path, capsys):
         scores = tmp_path / "scores.jsonl"

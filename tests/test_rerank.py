@@ -44,6 +44,12 @@ class TestScoreFiles:
         with pytest.raises(RecordError, match="finite"):
             load_scores(path)
 
+    def test_score_beyond_float_range_rejected(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        write_lines(path, ['{"query_id": "q1", "doc_id": "d1", "score": 1%s}' % ("0" * 400)])
+        with pytest.raises(RecordError, match="scores.jsonl:1: .*finite"):
+            load_scores(path)
+
     def test_missing_pair_is_none_not_zero(self):
         scores = ScoreSet()
         scores.add("q1", "d1", 0.0)
@@ -78,6 +84,12 @@ class TestWireProtocol:
             client = RerankClient(server.endpoint)
             with pytest.raises(RerankProtocolError, match="expected 2 scores"):
                 client.request_scores([("a", "b"), ("c", "d")])
+
+    def test_score_beyond_float_range_is_protocol_error(self):
+        with ScoringServer(score_fn=lambda query, doc: 10 ** 400) as server:
+            client = RerankClient(server.endpoint)
+            with pytest.raises(RerankProtocolError, match="non-numeric score"):
+                client.request_scores([("a", "b")])
 
     def test_unreachable_endpoint_is_transport_error(self):
         client = RerankClient("http://127.0.0.1:9/score", retries=0, timeout=0.5)
