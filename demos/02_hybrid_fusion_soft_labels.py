@@ -48,7 +48,7 @@ def main():
         store.add(doc_id, vec)
     sem = search_semantic(store, q_vec, 5)
 
-    rer = top_n(RERANKER, 5, "reranker")
+    rer = top_n(list(RERANKER), list(RERANKER.values()), 5, "reranker")
 
     print("channel rankings (doc: score):")
     for ranked in (lex, sem, rer):

@@ -69,10 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--batch", required=True, help="JSONL of s_pos / s_neg / teacher lines")
         cmd.add_argument("--tau", type=float, default=1.0, help="contrastive temperature (default 1.0)")
         cmd.add_argument("--tau-teacher", type=float, help="distillation temperature (default: tau)")
-        cmd.add_argument("--lambda", dest="blend", type=float, default=0.5,
-                         help="blend weight for InfoNCE vs distillation (default 0.5)")
         cmd.add_argument("--in-batch", action="store_true",
                          help="append other queries' positives to each negative set")
+    loss_cmd.add_argument("--lambda", dest="blend", type=float, default=0.5,
+                          help="blend weight for InfoNCE vs distillation (default 0.5)")
     loss_cmd.add_argument("--grad-check", action="store_true", dest="also_grad",
                           help="also report the max relative gradient error")
     grad_cmd.add_argument("--eps", type=float, default=1e-5, help="finite-difference step")

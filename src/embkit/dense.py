@@ -6,8 +6,6 @@ structure, so every downstream number is reproducible bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import jsonl
@@ -15,21 +13,30 @@ from .errors import RecordError, ValidationError
 from .ranking import CHANNEL_SEMANTIC, RankedList, top_n
 
 
-@dataclass
 class VectorStore:
-    dim: int = 0
-    vectors: dict[str, np.ndarray] = field(default_factory=dict)
+    """Vectors as the rows of one float64 matrix, in the order they were added."""
+
+    def __init__(self):
+        self.dim = 0
+        self.ids: list[str] = []
+        self._rows: dict[str, int] = {}
+        self._buffer = np.empty((0, 0))
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.ids)
 
     def __contains__(self, vec_id: str) -> bool:
-        return vec_id in self.vectors
+        return vec_id in self._rows
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """One row per vector, aligned with `ids`."""
+        return self._buffer[: len(self.ids)]
 
     def get(self, vec_id: str) -> np.ndarray:
-        if vec_id not in self.vectors:
+        if vec_id not in self._rows:
             raise ValidationError(f"unknown vector id '{vec_id}'")
-        return self.vectors[vec_id]
+        return self._buffer[self._rows[vec_id]]
 
     def add(self, vec_id: str, vector) -> None:
         try:
@@ -40,15 +47,24 @@ class VectorStore:
             raise ValidationError(f"vector '{vec_id}' must be a non-empty 1-d array")
         if not np.all(np.isfinite(arr)):
             raise ValidationError(f"vector '{vec_id}' contains a non-finite component")
-        if not self.vectors:
+        if not self.ids:
             self.dim = int(arr.size)
+            self._buffer = np.empty((0, self.dim))
         elif arr.size != self.dim:
             raise ValidationError(
                 f"vector '{vec_id}' has dimension {arr.size}, expected {self.dim}"
             )
-        if vec_id in self.vectors:
+        if vec_id in self._rows:
             raise ValidationError(f"duplicate vector id '{vec_id}'")
-        self.vectors[vec_id] = arr
+        row = len(self.ids)
+        if row == len(self._buffer):
+            # Doubling keeps appends amortised O(dim) without a copy per row.
+            grown = np.empty((max(1, 2 * row), self.dim))
+            grown[:row] = self.matrix
+            self._buffer = grown
+        self._buffer[row] = arr
+        self._rows[vec_id] = row
+        self.ids.append(vec_id)
 
 
 def load_vectors(path) -> VectorStore:
@@ -59,9 +75,8 @@ def load_vectors(path) -> VectorStore:
         raw = jsonl.require(record, "vector", path, lineno)
         if not isinstance(vec_id, str) or not vec_id:
             raise RecordError(path, lineno, "field 'id' must be a non-empty string")
-        if not isinstance(raw, list) or not raw or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
-        ):
+        # type() is exact, so bool (an int subclass) is rejected too.
+        if not isinstance(raw, list) or not raw or not set(map(type, raw)) <= {int, float}:
             raise RecordError(path, lineno, "field 'vector' must be a non-empty list of numbers")
         try:
             store.add(vec_id, raw)
@@ -84,6 +99,7 @@ def search_semantic(store: VectorStore, q_vec, n: int) -> RankedList:
     q = np.asarray(q_vec, dtype=np.float64)
     if q.ndim != 1 or q.size != store.dim:
         raise ValidationError(f"query vector has dimension {q.size}, store expects {store.dim}")
-    scores = {vec_id: float(np.dot(q, vec)) for vec_id, vec in store.vectors.items()}
-    return top_n(scores, n, CHANNEL_SEMANTIC)
+    # vecdot takes each row's dot product exactly as np.dot does, whatever
+    # the row's position, so scores do not depend on the order of the file.
+    return top_n(store.ids, np.vecdot(store.matrix, q), n, CHANNEL_SEMANTIC)
 

@@ -153,8 +153,9 @@ def load_teacher_scores(path) -> list[TeacherScoreSet]:
             raise RecordError(path, lineno, "'candidates' must be a list")
         try:
             candidates = tuple(
-                Candidate(doc_id=str(c["doc_id"]), fused_score=float(c["score"]))
-                for c in raw
+                Candidate(doc_id=str(c["doc_id"]),
+                          fused_score=jsonl.number(c["score"], f"candidates[{i}].score", path, lineno))
+                for i, c in enumerate(raw)
             )
             sets.append(TeacherScoreSet(query_id=str(qid), candidates=candidates))
         except (KeyError, TypeError, ValidationError) as exc:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable, Iterator
 
-from .errors import RecordError
+from .errors import RecordError, is_number
 
 
 def iter_records(path) -> Iterator[tuple[int, dict]]:
@@ -36,6 +36,13 @@ def require(record: dict, field: str, path, lineno) -> Any:
     if field not in record:
         raise RecordError(path, lineno, f"missing required field '{field}'")
     return record[field]
+
+
+def number(value, field: str, path, lineno) -> float:
+    """value as a float, or RecordError naming the field unless it is a finite JSON number."""
+    if not is_number(value):
+        raise RecordError(path, lineno, f"field '{field}' must be a finite number, got {value!r}")
+    return float(value)
 
 
 def dumps(record: dict) -> str:

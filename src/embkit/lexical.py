@@ -13,9 +13,13 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
-from dataclasses import dataclass, field
+from array import array
+from bisect import bisect_left
+from collections import defaultdict
+from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from .corpus import Document, Query
 from .errors import ValidationError, number_problems
@@ -46,48 +50,65 @@ class Bm25Params:
 
 @dataclass
 class InvertedIndex:
-    """Term -> (doc id, term frequency) postings plus the corpus statistics BM25 needs."""
+    """Term postings as arrays plus the corpus statistics BM25 needs.
 
-    postings: dict[str, list[tuple[str, int]]] = field(default_factory=dict)
-    doc_lengths: dict[str, int] = field(default_factory=dict)
-    doc_count: int = 0
-    avg_length: float = 0.0
+    Row r is the r-th document in ascending id order: `doc_ids[r]` is its id
+    and `lengths[r]` its token count.  `postings[term]` is a (df, 2) int
+    array of (row, tf) pairs, rows ascending.
+    """
+
+    doc_ids: np.ndarray
+    lengths: np.ndarray
+    postings: dict[str, np.ndarray]
+    avg_length: float
+
+    @property
+    def doc_count(self) -> int:
+        return len(self.doc_ids)
 
     def doc_frequency(self, term: str) -> int:
         return len(self.postings.get(term, ()))
-
-    def term_frequency(self, term: str, doc_id: str) -> int:
-        for posting_doc, tf in self.postings.get(term, ()):
-            if posting_doc == doc_id:
-                return tf
-        return 0
 
 
 def build_index(corpus: Iterable[Document]) -> InvertedIndex:
     """Build an inverted index; result is independent of document order.
 
-    Postings are sorted by doc id so two permutations of the same corpus
+    Rows follow ascending doc id, so two permutations of the same corpus
     produce identical indexes (and therefore identical query results).
     """
-    doc_lengths: dict[str, int] = {}
-    term_docs: dict[str, dict[str, int]] = {}
-    for doc in corpus:
-        tokens = tokenize(doc.text)
-        doc_lengths[doc.id] = len(tokens)
-        for term, tf in Counter(tokens).items():
-            term_docs.setdefault(term, {})[doc.id] = tf
-    if not doc_lengths:
+    docs = sorted(corpus, key=lambda doc: doc.id)
+    if not docs:
         raise ValidationError("cannot index an empty corpus")
-    postings = {
-        term: sorted(docs.items()) for term, docs in sorted(term_docs.items())
-    }
-    doc_count = len(doc_lengths)
-    avg_length = sum(doc_lengths.values()) / doc_count
+    ids = [doc.id for doc in docs]
+    duplicate = next((a for a, b in zip(ids, ids[1:]) if a == b), None)
+    if duplicate is not None:
+        raise ValidationError(f"duplicate document id '{duplicate}'")
+    doc_count = len(docs)
+    # Each new term gets the next id on first sight; only one document's
+    # tokens are alive at a time.
+    vocab: defaultdict[str, int] = defaultdict()
+    vocab.default_factory = vocab.__len__
+    lengths = np.empty(doc_count, dtype=np.int64)
+    term_of_token = array("q")
+    for row, doc in enumerate(docs):
+        start = len(term_of_token)
+        term_of_token.extend(map(vocab.__getitem__, tokenize(doc.text)))
+        lengths[row] = len(term_of_token) - start
+    # One key per token, term-major, written over the term ids in place:
+    # sorting groups each term's rows in ascending order.
+    keys = np.frombuffer(term_of_token, dtype=np.int64)
+    keys *= doc_count
+    keys += np.repeat(np.arange(doc_count), lengths)
+    keys, tfs = np.unique(keys, return_counts=True)
+    term_of_key, row_of_key = np.divmod(keys, doc_count)
+    pairs = np.column_stack((row_of_key, tfs))
+    bounds = np.searchsorted(term_of_key, np.arange(len(vocab) + 1))
+    postings = {term: pairs[bounds[t]:bounds[t + 1]] for term, t in sorted(vocab.items())}
     return InvertedIndex(
+        doc_ids=np.array(ids, dtype=object),
+        lengths=lengths,
         postings=postings,
-        doc_lengths=doc_lengths,
-        doc_count=doc_count,
-        avg_length=avg_length,
+        avg_length=int(lengths.sum()) / doc_count,
     )
 
 
@@ -97,11 +118,10 @@ def idf(index: InvertedIndex, term: str) -> float:
     return math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
 
 
-def _term_weight(index: InvertedIndex, params: Bm25Params, term: str, tf: int, length: int) -> float:
-    if tf == 0:
-        return 0.0
+def _term_weight(index: InvertedIndex, params: Bm25Params, term_idf: float, tf, length):
+    """Saturated-tf * idf weight of one term; tf and length may be scalars or aligned arrays."""
     norm = params.k1 * (1.0 - params.b + params.b * length / index.avg_length)
-    return idf(index, term) * tf * (params.k1 + 1.0) / (tf + norm)
+    return term_idf * tf * (params.k1 + 1.0) / (tf + norm)
 
 
 def bm25_score(index: InvertedIndex, params: Bm25Params, query: Query, doc_id: str) -> float:
@@ -111,12 +131,18 @@ def bm25_score(index: InvertedIndex, params: Bm25Params, query: Query, doc_id: s
     the query "a a" scores exactly twice the query "a".  Query terms absent
     from the document contribute zero.
     """
-    if doc_id not in index.doc_lengths:
+    row = bisect_left(index.doc_ids, doc_id)
+    if row == index.doc_count or index.doc_ids[row] != doc_id:
         raise ValidationError(f"unknown document id '{doc_id}'")
-    length = index.doc_lengths[doc_id]
+    length = int(index.lengths[row])
     score = 0.0
     for term in tokenize(query.text):
-        score += _term_weight(index, params, term, index.term_frequency(term, doc_id), length)
+        posting = index.postings.get(term)
+        if posting is None:
+            continue
+        at = int(np.searchsorted(posting[:, 0], row))
+        if at < len(posting) and posting[at, 0] == row:
+            score += _term_weight(index, params, idf(index, term), int(posting[at, 1]), length)
     return score
 
 
@@ -124,12 +150,17 @@ def search_lexical(index: InvertedIndex, params: Bm25Params, query: Query, n: in
     """Top-n matching documents by BM25, ties broken by ascending doc id.
 
     Only documents sharing at least one token with the query appear; fewer
-    than n matches yields a shorter list.
+    than n matches yields a shorter list.  Weights are added per document in
+    query-token order, the order `bm25_score` uses.
     """
-    scores: dict[str, float] = {}
+    acc = np.zeros(index.doc_count)
+    matched = np.zeros(index.doc_count, dtype=bool)
     for term in tokenize(query.text):
-        for doc_id, tf in index.postings.get(term, ()):
-            weight = _term_weight(index, params, term, tf, index.doc_lengths[doc_id])
-            scores[doc_id] = scores.get(doc_id, 0.0) + weight
-    return top_n(scores, n, CHANNEL_LEXICAL)
-
+        posting = index.postings.get(term)
+        if posting is None:
+            continue
+        rows, tfs = posting[:, 0], posting[:, 1]
+        acc[rows] += _term_weight(index, params, idf(index, term), tfs, index.lengths[rows])
+        matched[rows] = True
+    rows = np.flatnonzero(matched)
+    return top_n(index.doc_ids[rows], acc[rows], n, CHANNEL_LEXICAL)

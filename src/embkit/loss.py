@@ -272,10 +272,7 @@ def load_batch_file(
     negs: list[list[float]] = []
     teacher_rows: list[list[float]] = []
     for lineno, record in jsonl.iter_records(path):
-        s_pos = jsonl.require(record, "s_pos", path, lineno)
-        if not is_number(s_pos):
-            raise RecordError(path, lineno, f"field 's_pos' must be a finite number, got {s_pos!r}")
-        pos.append(float(s_pos))
+        pos.append(jsonl.number(jsonl.require(record, "s_pos", path, lineno), "s_pos", path, lineno))
         negs.append(_number_list(record, "s_neg", path, lineno))
         if "teacher" in record:
             teacher_rows.append(_number_list(record, "teacher", path, lineno))

@@ -7,7 +7,9 @@ below a fixed fraction of the positive's score:
 
 Candidates scoring above the threshold are too close to the positive and
 are excluded as likely false negatives; the boundary itself is inclusive
-("maximum allowable" means allowed).  From the survivors, the top_k best
+("maximum allowable" means allowed).  The rule needs a positive score
+above zero, which fused scores always have; a raw reranker score at or below
+zero is rejected.  From the survivors, the top_k best
 are kept and a seeded random subset of num_negatives is drawn to promote
 diversity without sacrificing reproducibility.
 """
@@ -81,9 +83,15 @@ def _margin_problems(margin) -> list[str]:
     return number_problems("margin", margin, "in (0, 1]", lambda v: 0 < v <= 1)
 
 
-def margin_threshold(positive_score: float, margin: float) -> float:
-    """Maximum allowable teacher score for a negative: positive_score * margin."""
+def margin_threshold(positive_score: float, margin: float, positive: str = "positive") -> float:
+    """Maximum allowable teacher score for a negative: positive_score * margin.
+
+    Defined for a positive score > 0 only: at or below zero the product lies
+    at or above the positive.  `positive` names the positive in the error.
+    """
     problems = _margin_problems(margin)
+    if not positive_score > 0:
+        problems.append(f"{positive}: score must be > 0 for the margin rule, got {positive_score!r}")
     if problems:
         raise ValidationError(*problems)
     return positive_score * margin
@@ -119,7 +127,8 @@ def filter_candidates(
             )
         positive_score = scored[positive_id]
 
-    threshold = margin_threshold(positive_score, margin)
+    threshold = margin_threshold(
+        positive_score, margin, f"positive '{positive_id}' of query '{candidates.query_id}'")
     survivors = [
         (doc_id, score)
         for doc_id, score in scored.items()
@@ -209,10 +218,11 @@ def load_mined(path) -> list[MinedNegatives]:
                 MinedNegatives(
                     query_id=str(record["query_id"]),
                     positive_id=str(record["positive_id"]),
-                    positive_score=float(record["positive_score"]),
-                    threshold=float(record["threshold"]),
+                    positive_score=jsonl.number(record["positive_score"], "positive_score", path, lineno),
+                    threshold=jsonl.number(record["threshold"], "threshold", path, lineno),
                     negatives=tuple(
-                        (str(n["doc_id"]), float(n["score"])) for n in record["negatives"]
+                        (str(n["doc_id"]), jsonl.number(n["score"], f"negatives[{i}].score", path, lineno))
+                        for i, n in enumerate(record["negatives"])
                     ),
                     shortfall=bool(record["shortfall"]),
                     seed=int(record["seed"]),

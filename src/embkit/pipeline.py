@@ -270,7 +270,7 @@ def score_query(config: PipelineConfig, inputs: PipelineInputs,
         scored = {doc_id: score for doc_id, score in found.items() if score is not None}
         if not scored:
             raise ValidationError(f"no reranker scores available for query '{query.id}'")
-        return top_n(scored, len(scored), CHANNEL_RERANKER)
+        return top_n(list(scored), list(scored.values()), len(scored), CHANNEL_RERANKER)
 
     rer = _stage("rerank", query.id, rerank_pool)
     return _stage("fuse", query.id, fusion.build_teacher_scores, query, lex, sem, rer, float(config["rrf_k"]))

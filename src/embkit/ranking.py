@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -52,9 +55,23 @@ class RankedList:
         return dict(self.entries)
 
 
-def top_n(scored: dict[str, float], n: int, channel: str) -> RankedList:
-    """Rank scored docs descending, ties broken by ascending doc id, keep n."""
+def top_n(ids: Sequence[str], scores, n: int, channel: str) -> RankedList:
+    """Rank ids by descending score, ties broken by ascending id, keep n.
+
+    `scores` is aligned with `ids`.  A partial sort finds the n-th largest
+    score and only the ids scoring at or above it are fully sorted, so an id
+    tied at the cut competes on id exactly as in a sort of every id.
+    """
     if n < 1:
         raise ValidationError("n must be >= 1")
-    ordered = sorted(scored.items(), key=lambda item: (-item[1], item[0]))
+    scores = np.asarray(scores, dtype=np.float64)
+    nan = np.flatnonzero(np.isnan(scores))
+    if len(nan):
+        raise ValidationError(f"score of '{ids[nan[0]]}' is NaN in {channel} list")
+    keep = np.arange(len(scores))
+    if n < len(scores):
+        cut = np.partition(scores, len(scores) - n)[len(scores) - n]
+        keep = np.flatnonzero(scores >= cut)
+    ordered = sorted(zip((ids[i] for i in keep.tolist()), scores[keep].tolist()),
+                     key=lambda item: (-item[1], item[0]))
     return RankedList(entries=tuple(ordered[:n]), channel=channel)

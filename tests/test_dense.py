@@ -48,6 +48,13 @@ class TestLoadVectors:
         with pytest.raises(RecordError, match="vectors.jsonl:2: vector 'b'"):
             load_vectors(path)
 
+    @pytest.mark.parametrize("component", ["true", '"1.5"', "null"])
+    def test_non_number_component_rejected(self, tmp_path, component):
+        path = tmp_path / "vectors.jsonl"
+        write_lines(path, ['{"id": "a", "vector": [1, 0]}', '{"id": "b", "vector": [1, %s]}' % component])
+        with pytest.raises(RecordError, match="vectors.jsonl:2: field 'vector'"):
+            load_vectors(path)
+
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "vectors.jsonl"
         write_lines(path, [
@@ -98,11 +105,12 @@ class TestSearchSemantic:
 
     def test_matches_brute_force_on_50_vectors(self):
         rng = np.random.default_rng(11)
-        store = self.make_store({f"v{i:02d}": rng.normal(size=6) for i in range(50)})
+        vectors = {f"v{i:02d}": rng.normal(size=6) for i in range(50)}
+        store = self.make_store(vectors)
         for _ in range(20):
             q = rng.normal(size=6)
             expected = sorted(
-                ((vec_id, float(np.dot(q, vec))) for vec_id, vec in store.vectors.items()),
+                ((vec_id, float(np.dot(q, vec))) for vec_id, vec in vectors.items()),
                 key=lambda item: (-item[1], item[0]),
             )[:10]
             got = search_semantic(store, q, 10)
@@ -117,6 +125,13 @@ class TestSearchSemantic:
         store = self.make_store({"a": [1, 0]})
         with pytest.raises(ValidationError):
             search_semantic(store, [1, 0, 0], 1)
+
+    def test_dot_product_overflowing_to_nan_rejected(self):
+        # Finite vectors whose products overflow to +inf and -inf sum to NaN,
+        # which has no rank.
+        store = self.make_store({"a": [1e200, 1e200, -1e200, -1e200] * 4, "b": [1.0, 0, 0, 0] * 4})
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValidationError, match="'a' is NaN"):
+            search_semantic(store, [1e200] * 16, 1)
 
     def test_tie_broken_by_ascending_id(self):
         store = self.make_store({"b": [1.0, 0.0], "a": [1.0, 0.0]})

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from embkit.corpus import Query
-from embkit.errors import ValidationError
+from embkit.errors import RecordError, ValidationError
 from embkit.fusion import (
     TeacherScoreSet,
     build_teacher_scores,
@@ -226,3 +226,15 @@ def test_teacher_scores_file_roundtrip(tmp_path):
     assert len(loaded) == 1
     assert loaded[0].query_id == "q1"
     assert loaded[0].fused() == ts.fused()
+
+
+@pytest.mark.parametrize("score", ['"x"', '"1.5"', "true", "null", "NaN"])
+def test_teacher_scores_file_bad_score_names_line_and_field(tmp_path, score):
+    path = tmp_path / "teacher.jsonl"
+    path.write_text(
+        '{"query_id": "q1", "candidates": [{"doc_id": "a", "score": 0.5}]}\n'
+        '{"query_id": "q2", "candidates": [{"doc_id": "a", "score": 0.5}, {"doc_id": "b", "score": %s}]}\n'
+        % score, encoding="utf-8",
+    )
+    with pytest.raises(RecordError, match=r"teacher.jsonl:2: field 'candidates\[1\].score'"):
+        load_teacher_scores(path)

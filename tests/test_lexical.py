@@ -4,6 +4,7 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 
 from embkit.corpus import Document, Query
@@ -77,9 +78,10 @@ class TestTokenize:
 class TestBuildIndex:
     def test_postings_and_lengths(self):
         index = build_index(make_docs({"d1": "a a b"}))
-        assert index.doc_lengths == {"d1": 3}
-        assert index.postings["a"] == [("d1", 2)]
-        assert index.postings["b"] == [("d1", 1)]
+        assert list(index.doc_ids) == ["d1"]
+        assert index.lengths.tolist() == [3]
+        assert index.postings["a"].tolist() == [[0, 2]]
+        assert index.postings["b"].tolist() == [[0, 1]]
 
     def test_avg_length(self):
         index = build_index(make_docs({"d1": "a b", "d2": "a b c", "d3": "a b c d"}))
@@ -89,12 +91,20 @@ class TestBuildIndex:
         with pytest.raises(ValidationError):
             build_index([])
 
+    def test_duplicate_doc_id_rejected(self):
+        # Two rows with one id would make the id -> row lookup ambiguous.
+        with pytest.raises(ValidationError, match="duplicate document id 'd1'"):
+            build_index(make_docs({"d1": "a"}) + make_docs({"d1": "b"}))
+
     def test_permutation_invariance(self):
         docs = make_docs({"d1": "a b c", "d2": "b c d", "d3": "c d e"})
         params = Bm25Params()
         forward = build_index(docs)
         backward = build_index(list(reversed(docs)))
-        assert forward == backward
+        assert np.array_equal(forward.doc_ids, backward.doc_ids)
+        assert np.array_equal(forward.lengths, backward.lengths)
+        assert forward.postings.keys() == backward.postings.keys()
+        assert all(np.array_equal(forward.postings[t], backward.postings[t]) for t in forward.postings)
         q = query("c d")
         assert search_lexical(forward, params, q, 10) == search_lexical(backward, params, q, 10)
 

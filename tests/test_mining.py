@@ -1,10 +1,13 @@
 """Margin threshold, candidate filtering, and seeded negative sampling."""
 
+import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from embkit.errors import ValidationError
+from embkit.errors import RecordError, ValidationError
 from embkit.fusion import Candidate, ChannelEvidence, TeacherScoreSet
 from embkit.mining import (
     MiningConfig,
@@ -35,6 +38,12 @@ class TestMarginThreshold:
 
     def test_larger_scale(self):
         assert margin_threshold(10.0, 0.95) == 9.5
+
+    @pytest.mark.parametrize("positive_score", [0.0, -2.0])
+    def test_positive_at_or_below_zero_rejected(self, positive_score):
+        # positive_score * margin would lie at or above the positive itself.
+        with pytest.raises(ValidationError, match="positive: score must be > 0"):
+            margin_threshold(positive_score, 0.95)
 
     def test_margin_range_enforced(self):
         with pytest.raises(ValidationError):
@@ -98,6 +107,40 @@ class TestFilterCandidates:
         # threshold = 8.55; d1 at 8.9 excluded, d3 has no reranker score at all.
         assert [d for d, _ in pool.survivors] == [("d2")]
         assert pool.threshold == pytest.approx(9.0 * 0.95)
+
+
+    def test_negative_reranker_positive_names_query_and_positive(self):
+        candidates = (
+            Candidate("d1", 0.03, {"reranker": ChannelEvidence(-1.95, 1)}),
+            Candidate("p", 0.02, {"reranker": ChannelEvidence(-2.0, 2)}),
+            Candidate("d2", 0.01, {"reranker": ChannelEvidence(-5.0, 3)}),
+        )
+        ts = TeacherScoreSet(query_id="q1", candidates=candidates)
+        config = MiningConfig(margin=0.95, top_k=2, num_negatives=1)
+        with pytest.raises(ValidationError, match="positive 'p' of query 'q1': score must be > 0"):
+            mine(ts, "p", config, score_source="reranker")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scores=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=12),
+    margin=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+def test_no_mined_negative_scores_above_its_positive(scores, margin):
+    # Reranker scores of any sign; the positive is the first candidate.
+    ids = [f"d{i:02d}" for i in range(len(scores))]
+    candidates = tuple(
+        Candidate(doc_id, 1.0 / (60 + i), {"reranker": ChannelEvidence(score, i + 1)})
+        for i, (doc_id, score) in enumerate(zip(ids, scores))
+    )
+    ts = TeacherScoreSet(query_id="q1", candidates=candidates)
+    config = MiningConfig(margin=margin, top_k=len(ids), num_negatives=len(ids) - 1)
+    try:
+        mined = mine(ts, ids[0], config, score_source="reranker")
+    except ValidationError:
+        assert not scores[0] > 0
+        return
+    assert all(score <= scores[0] for _, score in mined.negatives)
 
 
 class TestSampleNegatives:
@@ -207,3 +250,19 @@ def test_mined_file_roundtrip(tmp_path):
     path = tmp_path / "mined.jsonl"
     save_mined(path, mined)
     assert load_mined(path) == mined
+
+
+@pytest.mark.parametrize("field, record", [
+    ("positive_score", {"positive_score": "x"}),
+    ("positive_score", {"positive_score": "1.5"}),
+    ("threshold", {"threshold": True}),
+    ("negatives[1].score", {"negatives": [{"doc_id": "d1", "score": 0.5}, {"doc_id": "d2", "score": "x"}]}),
+    ("negatives[0].score", {"negatives": [{"doc_id": "d1", "score": None}]}),
+], ids=["string-positive", "numeric-string-positive", "bool-threshold", "string-negative", "null-negative"])
+def test_mined_file_bad_score_names_line_and_field(tmp_path, field, record):
+    good = {"query_id": "q1", "positive_id": "p", "positive_score": 1.0, "threshold": 0.95,
+            "negatives": [{"doc_id": "d1", "score": 0.5}], "shortfall": False, "seed": 7}
+    path = tmp_path / "mined.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **record}) + "\n", encoding="utf-8")
+    with pytest.raises(RecordError, match=rf"mined.jsonl:2: field '{re.escape(field)}'"):
+        load_mined(path)

@@ -414,6 +414,15 @@ class TestCli:
         assert captured.out == ""
         assert message in captured.err
 
+    def test_grad_check_rejects_lambda(self, tmp_path, capsys):
+        # grad-check never blends, so it has no blend weight to take.
+        batch = tmp_path / "b.jsonl"
+        batch.write_text('{"s_pos": 0.0, "s_neg": [0.0]}\n', encoding="utf-8")
+        with pytest.raises(SystemExit) as caught:
+            main(["grad-check", "--batch", str(batch), "--lambda", "7"])
+        assert caught.value.code == 2
+        assert "--lambda" in capsys.readouterr().err
+
     def test_eval_subcommand(self, tmp_path, capsys):
         scores = tmp_path / "scores.jsonl"
         rows = [
