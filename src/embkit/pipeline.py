@@ -28,7 +28,7 @@ from .forge import (
     emit_training_records,
     save_training_records,
 )
-from .ranking import CHANNEL_RERANKER, top_n
+from .ranking import CHANNEL_RERANKER, RankedList, top_n
 
 DEFAULTS: dict = {
     "bm25": dataclasses.asdict(lexical.Bm25Params()),
@@ -243,24 +243,35 @@ def load_inputs(config: PipelineConfig) -> PipelineInputs:
     )
 
 
-def score_query(config: PipelineConfig, inputs: PipelineInputs,
-                query: corpus_mod.Query, positives: list[str]) -> fusion.TeacherScoreSet:
-    """Retrieve, rerank, and fuse one query into a teacher score set.
+def retrieve_query(config: PipelineConfig, inputs: PipelineInputs, query: corpus_mod.Query,
+                   positives: list[str]) -> tuple[RankedList, RankedList, list[tuple[str, str]]]:
+    """Both channels' rankings of one query and its rerank pool as (doc_id, text) pairs.
 
-    The rerank pool is the union of both channels' top candidates plus the
-    query's known positives, so the positive always carries a teacher score
-    even when neither channel retrieved it.
+    The pool is the union of both channels' top candidates plus the query's
+    known positives, so the positive always carries a teacher score even
+    when neither channel retrieved it.
     """
     n = config["pool_size"]
-    strict = bool(config["strict"])
     lex = _stage("search-lexical", query.id,
                  lambda: lexical.search_lexical(inputs.index, config.bm25_params(), query, n))
     sem = _stage("search-semantic", query.id,
                  lambda: dense.search_semantic(inputs.doc_vectors, inputs.query_vectors.get(query.id), n))
     pool = sorted(set(lex.doc_ids()) | set(sem.doc_ids()) | set(positives))
+    docs = _stage("rerank", query.id, lambda: [(doc_id, inputs.corpus.text(doc_id)) for doc_id in pool])
+    return lex, sem, docs
+
+
+def score_query(config: PipelineConfig, inputs: PipelineInputs, query: corpus_mod.Query,
+                lex: RankedList, sem: RankedList, docs: list[tuple[str, str]]) -> fusion.TeacherScoreSet:
+    """Rerank and fuse one retrieved query into a teacher score set.
+
+    The pool's scores come from the gateway's cache, which
+    `score_all_queries` fills beforehand; a pair still missing fails the
+    query in strict mode and is dropped otherwise.
+    """
+    strict = bool(config["strict"])
 
     def rerank_pool():
-        docs = [(doc_id, inputs.corpus.text(doc_id)) for doc_id in pool]
         found = inputs.gateway.ensure_scores(query.id, query.text, docs)
         missing = sorted(doc_id for doc_id, score in found.items() if score is None)
         if missing and strict:
@@ -279,14 +290,21 @@ def score_query(config: PipelineConfig, inputs: PipelineInputs,
 def score_all_queries(config: PipelineConfig, inputs: PipelineInputs) -> dict[str, fusion.TeacherScoreSet]:
     """Teacher score sets for every query, keyed by query id.
 
-    Queries are scored one after another; the reranker client overlaps the
-    network wait of each query's chunks.
+    Every query is retrieved first.  Then every pool pair missing from the
+    gateway's cache is fetched in one pass of full batches (a wire failure
+    names stage `rerank` and no query), and each query is reranked and
+    fused from the filled cache.
     """
     positives_by_query: dict[str, list[str]] = {}
     for qrel in inputs.qrels:
         positives_by_query.setdefault(qrel.query_id, []).append(qrel.doc_id)
-    return {query.id: score_query(config, inputs, query, positives_by_query.get(query.id, []))
-            for query in inputs.queries.values()}
+    queries = list(inputs.queries.values())
+    retrieved = [retrieve_query(config, inputs, query, positives_by_query.get(query.id, []))
+                 for query in queries]
+    _stage("rerank", None, inputs.gateway.prefetch,
+           [(query.id, query.text, docs) for query, (_, _, docs) in zip(queries, retrieved)])
+    return {query.id: score_query(config, inputs, query, lex, sem, docs)
+            for query, (lex, sem, docs) in zip(queries, retrieved)}
 
 
 def run_mine(config: PipelineConfig) -> dict:

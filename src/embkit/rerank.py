@@ -103,7 +103,7 @@ class RerankClient:
 
     Already-answered pairs are served from an in-memory memo without touching
     the network.  The misses of one call are split into `batch_size` chunks,
-    and up to MAX_IN_FLIGHT of them are posted at once.
+    and up to MAX_IN_FLIGHT of them are in flight at all times.
     """
 
     def __init__(self, endpoint: str, *, batch_size: int = 32, timeout: float = 10.0,
@@ -131,10 +131,44 @@ class RerankClient:
         return [self._memo[key] for key in keys]
 
     def _fetch(self, keys: list[tuple[str, str]]) -> list[float]:
-        size = self.batch_size
-        chunks = [keys[start:start + size] for start in range(0, len(keys), size)]
-        with ThreadPoolExecutor(max_workers=min(MAX_IN_FLIGHT, len(chunks))) as pool:
-            return [score for scores in pool.map(self._post_chunk, chunks) for score in scores]
+        """Scores for keys, posted by up to MAX_IN_FLIGHT workers.
+
+        The first chunks are cut before any is posted; after that a worker
+        cuts its next chunk at the `batch_size` of that moment, so a limit
+        learned from a 413 applies to every chunk not yet cut.  Once a chunk
+        fails no new chunk is cut, and the first error is raised.
+        """
+        lock = threading.Lock()
+        scores: list[float | None] = [None] * len(keys)
+        errors: list[Exception] = []
+        cursor = 0
+
+        def cut() -> tuple[int, int] | None:
+            nonlocal cursor
+            if errors or cursor >= len(keys):
+                return None
+            start, cursor = cursor, min(cursor + self.batch_size, len(keys))
+            return start, cursor
+
+        def work(chunk: tuple[int, int] | None) -> None:
+            while chunk is not None:
+                start, end = chunk
+                try:
+                    scores[start:end] = self._post_chunk(keys[start:end])
+                except Exception as exc:
+                    with lock:
+                        errors.append(exc)
+                    return
+                with lock:
+                    chunk = cut()
+
+        first = [cut() for _ in range(min(MAX_IN_FLIGHT, -(-len(keys) // self.batch_size)))]
+        with ThreadPoolExecutor(max_workers=len(first)) as pool:
+            for future in [pool.submit(work, chunk) for chunk in first]:
+                future.result()
+        if errors:
+            raise errors[0]
+        return scores
 
     def _post_chunk(self, chunk: list[tuple[str, str]]) -> list[float]:
         """Scores for one chunk; a 413 re-splits it at the server's declared limit."""
@@ -219,7 +253,8 @@ class RerankGateway:
 
     Lookups hit the cache first; misses go upstream (when a client is
     configured) and the answers are merged back, so repeated requests for
-    the same pair never cause a second network call.
+    the same pair never cause a second network call.  `prefetch` fills the
+    cache for many queries at once, so their misses share full batches.
     """
 
     def __init__(self, scores: ScoreSet | None = None, client: RerankClient | None = None):
@@ -234,16 +269,22 @@ class RerankGateway:
         decides whether that is fatal.
         """
         docs = list(docs)
-        found: dict[str, float | None] = {}
-        missing: list[tuple[str, str]] = []
-        for doc_id, doc_text in docs:
-            cached = self.scores.score(query_id, doc_id)
-            found[doc_id] = cached
-            if cached is None:
-                missing.append((doc_id, doc_text))
-        if missing and self.client is not None:
-            fetched = self.client.request_scores([(query_text, text) for _, text in missing])
-            for (doc_id, _), score in zip(missing, fetched):
+        self.prefetch([(query_id, query_text, docs)])
+        return {doc_id: self.scores.score(query_id, doc_id) for doc_id, _ in docs}
+
+    def prefetch(self, requests: Iterable[tuple[str, str, Iterable[tuple[str, str]]]]) -> None:
+        """Fetch every uncached pair of many queries through one client call.
+
+        Each request is `(query_id, query_text, docs)` as `ensure_scores`
+        takes it.  Without a wire client this does nothing.
+        """
+        if self.client is None:
+            return
+        missing = [(query_id, doc_id, query_text, doc_text)
+                   for query_id, query_text, docs in requests
+                   for doc_id, doc_text in docs
+                   if (query_id, doc_id) not in self.scores]
+        if missing:
+            fetched = self.client.request_scores([(text, doc_text) for _, _, text, doc_text in missing])
+            for (query_id, doc_id, _, _), score in zip(missing, fetched):
                 self.scores.add(query_id, doc_id, score)
-                found[doc_id] = score
-        return found

@@ -239,6 +239,41 @@ class TestRunMine:
         assert output_bytes(out) == before
         assert sorted(p.name for p in out.iterdir()) == sorted(before)
 
+    def test_pairs_of_all_queries_share_one_post(self, tmp_path, scoring_server):
+        config = fixture_config(tmp_path)
+        config.paths["reranker_scores"] = None
+        config.paths["reranker_endpoint"] = scoring_server.endpoint
+        pipeline.run_mine(config)
+        # The 24 distinct pairs of the three queries fit one batch of the default 32.
+        assert scoring_server.calls == 1
+
+    def test_retrieval_error_costs_no_reranker_call(self, tmp_path, scoring_server):
+        broken = tmp_path / "inputs"
+        shutil.copytree(PIPELINE_FIXTURE, broken)
+        lines = (broken / "query_vectors.jsonl").read_text().splitlines()
+        (broken / "query_vectors.jsonl").write_text("\n".join(line for line in lines if '"q3"' not in line) + "\n")
+        config = pipeline.load_config(broken / "config.json")
+        config.paths["output_dir"] = str(tmp_path / "out")
+        config.paths["reranker_scores"] = None
+        config.paths["reranker_endpoint"] = scoring_server.endpoint
+        with pytest.raises(PipelineStageError) as excinfo:
+            pipeline.run_mine(config)
+        assert (excinfo.value.stage, excinfo.value.query_id) == ("search-semantic", "q3")
+        assert scoring_server.calls == 0
+
+    def test_unreachable_endpoint_names_rerank_and_keeps_previous_outputs(self, tmp_path):
+        pipeline.run_mine(fixture_config(tmp_path))
+        out = tmp_path / "out"
+        before = output_bytes(out)
+        config = fixture_config(tmp_path)
+        config.paths["reranker_scores"] = None
+        config.paths["reranker_endpoint"] = "http://127.0.0.1:9/score"
+        with pytest.raises(PipelineStageError) as excinfo:
+            pipeline.run_mine(config)
+        assert (excinfo.value.stage, excinfo.value.query_id) == ("rerank", None)
+        assert output_bytes(out) == before
+        assert sorted(p.name for p in out.iterdir()) == sorted(before)
+
     def test_endpoint_serves_missing_scores(self, tmp_path, scoring_server):
         config = fixture_config(tmp_path)
         config.paths["reranker_scores"] = None

@@ -140,6 +140,24 @@ class TestWireProtocol:
             assert client.upstream_calls == 13
             assert client.batch_size == 2
 
+    def test_learned_limit_applies_to_chunks_not_yet_cut(self):
+        with ScoringServer(max_batch_size=2) as server:
+            client = RerankClient(server.endpoint, batch_size=10)
+            pairs = [(f"q{i}", f"d{i}") for i in range(100)]
+            assert client.request_scores(pairs) == [default_score(q, d) for q, d in pairs]
+            # Only the chunks cut before the first post are refused; the
+            # other 60 pairs are cut at the learned limit of 2.
+            assert client.upstream_calls == 50
+            assert server.calls == 50 + rerank.MAX_IN_FLIGHT
+
+    def test_failed_chunk_stops_new_posts(self):
+        with ScoringServer() as server:
+            server.httpd.fail_next = 10 ** 6
+            client = RerankClient(server.endpoint, batch_size=1, retries=0)
+            with pytest.raises(RerankTransportError):
+                client.request_scores([(f"q{i}", "d") for i in range(40)])
+            assert server.calls <= 2 * rerank.MAX_IN_FLIGHT
+
     def test_chunks_posted_concurrently_up_to_the_cap(self):
         lock = threading.Lock()
         active = peak = 0
