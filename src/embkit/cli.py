@@ -1,4 +1,4 @@
-"""Command-line interface: every pipeline stage as a subcommand.
+"""Command-line interface: the mining pipeline and the data tools as subcommands.
 
 Exit codes: 0 on success, 1 for configuration or input validation
 problems, 2 for runtime stage failures.
@@ -9,10 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import corpus as corpus_mod
-from . import evalagg, forge, fusion, jsonl, loss as loss_mod, pipeline
+from . import evalagg, forge, jsonl, loss as loss_mod, pipeline
 from .errors import (
     EmbkitError,
     PipelineStageError,
@@ -38,13 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="abort on missing reranker scores (overrides config)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    rerank_cmd = sub.add_parser("rerank", help="score candidate pools and write the score cache")
-    rerank_cmd.add_argument("--out", help="score file (default: <output_dir>/reranker_scores.jsonl)")
-
-    fuse = sub.add_parser("fuse", help="fuse the three channels into teacher score sets")
-    fuse.add_argument("--out", help="output file (default: <output_dir>/teacher_scores.jsonl)")
-
-    sub.add_parser("mine", help="run the full pipeline: records plus manifest")
+    sub.add_parser("mine", help="run the full pipeline: records, teacher and reranker scores, manifest")
 
     convert = sub.add_parser("convert-nli", help="convert NLI pairs to similarity pairs")
     convert.add_argument("--input", required=True)
@@ -105,35 +98,6 @@ def _load_config(args, *, needs_paths: bool = True) -> pipeline.PipelineConfig:
     if problems:
         raise ValidationError("invalid config:\n  " + "\n  ".join(problems))
     return config
-
-
-def _out_path(config: pipeline.PipelineConfig, arg: str | None, default_name: str) -> Path:
-    if arg:
-        return Path(arg)
-    out_dir = Path(config.path("output_dir"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir / default_name
-
-
-def _cmd_rerank(args) -> int:
-    config = _load_config(args)
-    inputs = pipeline.load_inputs(config)
-    pipeline.score_all_queries(config, inputs)
-    out = _out_path(config, args.out, "reranker_scores.jsonl")
-    count = inputs.gateway.scores.save(out)
-    calls = inputs.gateway.client.upstream_calls if inputs.gateway.client else 0
-    print(f"wrote {count} pair scores ({calls} upstream calls) -> {out}")
-    return EXIT_OK
-
-
-def _cmd_fuse(args) -> int:
-    config = _load_config(args)
-    inputs = pipeline.load_inputs(config)
-    teacher_sets = pipeline.score_all_queries(config, inputs)
-    out = _out_path(config, args.out, pipeline.TEACHER_SCORES_FILE)
-    fusion.save_teacher_scores(out, [teacher_sets[qid] for qid in sorted(teacher_sets)])
-    print(f"fused {len(teacher_sets)} queries -> {out}")
-    return EXIT_OK
 
 
 def _cmd_mine(args) -> int:
@@ -229,8 +193,6 @@ def _cmd_eval(args) -> int:
 
 
 _COMMANDS = {
-    "rerank": _cmd_rerank,
-    "fuse": _cmd_fuse,
     "mine": _cmd_mine,
     "convert-nli": _cmd_convert_nli,
     "dedup": _cmd_dedup,

@@ -292,15 +292,18 @@ def load_training_records(path) -> list[TrainingRecord]:
     for lineno, record in jsonl.iter_records(path):
         try:
             score = record["positive_soft_score"]
+            if score is not None:
+                score = jsonl.number(score, "positive_soft_score", path, lineno)
             records.append(
                 TrainingRecord(
                     task=str(record["task"]),
                     instruction=str(record["instruction"]),
                     query=str(record["query"]),
                     positive=str(record["positive"]),
-                    positive_soft_score=None if score is None else float(score),
+                    positive_soft_score=score,
                     negatives=tuple(
-                        (str(n["text"]), float(n["score"])) for n in record["negatives"]
+                        (str(n["text"]), jsonl.number(n["score"], f"negatives[{i}].score", path, lineno))
+                        for i, n in enumerate(record["negatives"])
                     ),
                     prompt=str(record["prompt"]),
                     shortfall=bool(record["shortfall"]),

@@ -47,8 +47,8 @@ class TeacherScoreSet:
     """Per-query soft labels: fused scores plus per-channel audit evidence.
 
     Candidates are sorted by fused score descending, ties by ascending doc
-    id, and every fused score is strictly positive (each candidate appears
-    in at least one input ranking).
+    id, no doc id appears twice, and every fused score is strictly positive
+    (each candidate appears in at least one input ranking).
     """
 
     query_id: str
@@ -56,11 +56,15 @@ class TeacherScoreSet:
 
     def __post_init__(self):
         previous: tuple[float, str] | None = None
+        seen: set[str] = set()
         for cand in self.candidates:
             if cand.fused_score <= 0.0:
                 raise ValidationError(
                     f"candidate '{cand.doc_id}' has non-positive fused score"
                 )
+            if cand.doc_id in seen:
+                raise ValidationError(f"candidate '{cand.doc_id}' appears twice")
+            seen.add(cand.doc_id)
             key = (-cand.fused_score, cand.doc_id)
             if previous is not None and key < previous:
                 raise ValidationError("candidates must be sorted by fused score desc, id asc")
@@ -153,11 +157,13 @@ def load_teacher_scores(path) -> list[TeacherScoreSet]:
             raise RecordError(path, lineno, "'candidates' must be a list")
         try:
             candidates = tuple(
-                Candidate(doc_id=str(c["doc_id"]),
+                Candidate(doc_id=c["doc_id"],
                           fused_score=jsonl.number(c["score"], f"candidates[{i}].score", path, lineno))
                 for i, c in enumerate(raw)
             )
-            sets.append(TeacherScoreSet(query_id=str(qid), candidates=candidates))
+            if not isinstance(qid, str) or not all(isinstance(c.doc_id, str) for c in candidates):
+                raise RecordError(path, lineno, "ids must be strings")
+            sets.append(TeacherScoreSet(query_id=qid, candidates=candidates))
         except (KeyError, TypeError, ValidationError) as exc:
             raise RecordError(path, lineno, f"invalid teacher score set: {exc}") from exc
     return sets

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import jsonl
-from .errors import RecordError, ValidationError, is_integer, number_problems
+from .errors import ValidationError, is_integer, number_problems
 from .fusion import TeacherScoreSet
 from .ranking import CHANNEL_RERANKER
 
@@ -209,25 +209,3 @@ def save_mined(path, mined: Iterable[MinedNegatives]) -> int:
         ),
     )
 
-
-def load_mined(path) -> list[MinedNegatives]:
-    records: list[MinedNegatives] = []
-    for lineno, record in jsonl.iter_records(path):
-        try:
-            records.append(
-                MinedNegatives(
-                    query_id=str(record["query_id"]),
-                    positive_id=str(record["positive_id"]),
-                    positive_score=jsonl.number(record["positive_score"], "positive_score", path, lineno),
-                    threshold=jsonl.number(record["threshold"], "threshold", path, lineno),
-                    negatives=tuple(
-                        (str(n["doc_id"]), jsonl.number(n["score"], f"negatives[{i}].score", path, lineno))
-                        for i, n in enumerate(record["negatives"])
-                    ),
-                    shortfall=bool(record["shortfall"]),
-                    seed=int(record["seed"]),
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise RecordError(path, lineno, f"invalid mined record: {exc}") from exc
-    return records

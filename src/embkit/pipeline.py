@@ -3,9 +3,10 @@
 One config file drives every stage: lexical and semantic retrieval feed a
 candidate union, the reranker scores it, reciprocal rank fusion turns the
 three rankings into soft labels, the margin filter and seeded sampler mine
-negatives, and the forge emits final training records.  A run writes a
-manifest with the config hash and input/output digests, and the output
-bytes are fully determined by (config, inputs, seed).
+negatives, and the forge emits final training records.  A run writes the
+records, the teacher scores, every reranker score it used and a manifest
+with the config hash and input/output digests, and the output bytes are
+fully determined by (config, inputs, seed).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ _INPUT_PATH_KEYS = ("corpus", "queries", "qrels", "doc_vectors", "query_vectors"
 TRAINING_RECORDS_FILE = "training_records.jsonl"
 MINED_FILE = "mined_negatives.jsonl"
 TEACHER_SCORES_FILE = "teacher_scores.jsonl"
+RERANKER_SCORES_FILE = "reranker_scores.jsonl"
 MANIFEST_FILE = "manifest.json"
 
 
@@ -187,8 +189,14 @@ def validate_paths(config: PipelineConfig) -> list[str]:
         errors.append(f"paths.reranker_scores: no such file: {scores_path}")
     if scores_path is None and not config.path("reranker_endpoint"):
         errors.append("paths: need reranker_scores and/or reranker_endpoint")
-    if config.path("output_dir") is None:
+    output_dir = config.path("output_dir")
+    if output_dir is None:
         errors.append("paths.output_dir: required")
+    elif scores_path is not None and os.path.isfile(scores_path):
+        target = os.path.join(output_dir, RERANKER_SCORES_FILE)
+        if os.path.exists(target) and os.path.samefile(target, scores_path):
+            errors.append(f"paths.output_dir: its {RERANKER_SCORES_FILE} is the input paths.reranker_scores, "
+                          "which the run would replace")
     return errors
 
 
@@ -310,22 +318,29 @@ def score_all_queries(config: PipelineConfig, inputs: PipelineInputs) -> dict[st
 def run_mine(config: PipelineConfig) -> dict:
     """Execute the full pipeline and write records plus a run manifest.
 
+    The reranker scores file holds the score of every pool pair that fed a
+    teacher set, sorted by (query_id, doc_id); a pair dropped in lenient mode
+    is absent.  Pointing `paths.reranker_scores` at it repeats the run
+    without an endpoint.
+
     Any stage failure aborts the run with the stage name and query id.  Each
     output is written to a temp file in the output directory and renamed into
     place, the manifest last, so a failed run leaves the previous run's files
     as they were.  Returns the manifest.
     """
     inputs = load_inputs(config)
+    qrels = sorted(inputs.qrels, key=lambda r: (r.query_id, r.doc_id))
+    for qrel in qrels:  # before any query is retrieved or scored
+        if qrel.query_id not in inputs.queries:
+            raise PipelineStageError(
+                "mine", qrel.query_id, ValidationError(f"qrel references unknown query '{qrel.query_id}'")
+            )
     teacher_sets = score_all_queries(config, inputs)
     mining_config = config.mining_config()
     score_source = config["score_source"]
 
     pairs: list[KeyedPair] = []
-    for qrel in sorted(inputs.qrels, key=lambda r: (r.query_id, r.doc_id)):
-        if qrel.query_id not in inputs.queries:
-            raise PipelineStageError(
-                "mine", qrel.query_id, ValidationError(f"qrel references unknown query '{qrel.query_id}'")
-            )
+    for qrel in qrels:
         query = inputs.queries[qrel.query_id]
         pairs.append(
             KeyedPair(
@@ -353,7 +368,7 @@ def run_mine(config: PipelineConfig) -> dict:
 
     output_dir = Path(config.path("output_dir"))
     output_dir.mkdir(parents=True, exist_ok=True)
-    data = (TRAINING_RECORDS_FILE, MINED_FILE, TEACHER_SCORES_FILE)
+    data = (TRAINING_RECORDS_FILE, MINED_FILE, TEACHER_SCORES_FILE, RERANKER_SCORES_FILE)
     temp = {name: output_dir / f".{name}.{os.getpid()}.tmp" for name in (*data, MANIFEST_FILE)}
     try:
         save_training_records(temp[TRAINING_RECORDS_FILE], records)
@@ -361,6 +376,11 @@ def run_mine(config: PipelineConfig) -> dict:
         fusion.save_teacher_scores(
             temp[TEACHER_SCORES_FILE], [teacher_sets[qid] for qid in sorted(teacher_sets)]
         )
+        rerank.save_scores(temp[RERANKER_SCORES_FILE], (
+            (qid, doc_id, score)
+            for qid in sorted(teacher_sets)
+            for doc_id, score in sorted(teacher_sets[qid].channel_scores(CHANNEL_RERANKER).items())
+        ))
 
         manifest = {
             "config_hash": config.config_hash(),

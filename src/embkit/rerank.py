@@ -33,7 +33,7 @@ MAX_IN_FLIGHT = 4
 
 
 class ScoreSet:
-    """Id-keyed (query, doc) relevance scores with JSONL persistence.
+    """Id-keyed (query, doc) relevance scores.
 
     Reads are lock-free on an immutable-after-merge dict snapshot; merges
     are serialized by an internal lock, so any number of readers can run
@@ -69,15 +69,6 @@ class ScoreSet:
     def items(self) -> list[tuple[str, str, float]]:
         return [(q, d, s) for (q, d), s in self._scores.items()]
 
-    def save(self, path) -> int:
-        return jsonl.write_records(
-            path,
-            (
-                {"query_id": q, "doc_id": d, "score": s}
-                for q, d, s in sorted(self.items())
-            ),
-        )
-
 
 def load_scores(path) -> ScoreSet:
     """Load {"query_id", "doc_id", "score"} records; duplicates are an error."""
@@ -96,6 +87,11 @@ def load_scores(path) -> ScoreSet:
         seen.add((qid, did))
         scores.add(qid, did, float(score))
     return scores
+
+
+def save_scores(path, rows: Iterable[tuple[str, str, float]]) -> int:
+    """Write (query_id, doc_id, score) rows in the given order, in the format `load_scores` reads."""
+    return jsonl.write_records(path, ({"query_id": q, "doc_id": d, "score": s} for q, d, s in rows))
 
 
 class RerankClient:

@@ -1,5 +1,8 @@
 """NLI conversion, instruction registry, prompt template, record emission."""
 
+import json
+import re
+
 import pytest
 
 from embkit.errors import RecordError, ValidationError
@@ -252,3 +255,22 @@ def test_training_record_file_roundtrip(tmp_path):
     path = tmp_path / "records.jsonl"
     save_training_records(path, [record, bare])
     assert load_training_records(path) == [record, bare]
+
+
+@pytest.mark.parametrize("field, record", [
+    ("positive_soft_score", {"positive_soft_score": "x"}),
+    ("positive_soft_score", {"positive_soft_score": "1.5"}),
+    ("positive_soft_score", {"positive_soft_score": True}),
+    ("positive_soft_score", {"positive_soft_score": float("nan")}),
+    ("negatives[1].score", {"negatives": [{"text": "a", "score": 0.4}, {"text": "b", "score": "x"}]}),
+    ("negatives[0].score", {"negatives": [{"text": "a", "score": None}]}),
+    ("negatives[0].score", {"negatives": [{"text": "a", "score": float("nan")}]}),
+], ids=["string-positive", "numeric-string-positive", "bool-positive", "nan-positive", "string-negative",
+        "null-negative", "nan-negative"])
+def test_training_record_file_bad_score_names_line_and_field(tmp_path, field, record):
+    good = {"task": "MSMARCO", "instruction": "i", "query": "q", "positive": "p", "positive_soft_score": 0.5,
+            "negatives": [{"text": "a", "score": 0.4}], "prompt": "Instruct: i\nQuery: q</s>", "shortfall": False}
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **record}) + "\n", encoding="utf-8")
+    with pytest.raises(RecordError, match=rf"records.jsonl:2: field '{re.escape(field)}'"):
+        load_training_records(path)

@@ -238,3 +238,22 @@ def test_teacher_scores_file_bad_score_names_line_and_field(tmp_path, score):
     )
     with pytest.raises(RecordError, match=r"teacher.jsonl:2: field 'candidates\[1\].score'"):
         load_teacher_scores(path)
+
+
+def test_teacher_scores_file_repeated_doc_id_rejected(tmp_path):
+    path = tmp_path / "teacher.jsonl"
+    path.write_text('{"query_id": "q1", "candidates": [{"doc_id": "a", "score": 0.5}, {"doc_id": "a", "score": 0.5}]}\n',
+                    encoding="utf-8")
+    with pytest.raises(RecordError, match=r"teacher.jsonl:1: .*candidate 'a' appears twice"):
+        load_teacher_scores(path)
+
+
+@pytest.mark.parametrize("line", [
+    '{"query_id": 7, "candidates": [{"doc_id": "a", "score": 0.5}]}',
+    '{"query_id": "q1", "candidates": [{"doc_id": 7, "score": 0.5}]}',
+], ids=["query-id", "doc-id"])
+def test_teacher_scores_file_non_string_id_rejected(tmp_path, line):
+    path = tmp_path / "teacher.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(RecordError, match="teacher.jsonl:1: ids must be strings"):
+        load_teacher_scores(path)

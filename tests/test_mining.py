@@ -1,22 +1,18 @@
 """Margin threshold, candidate filtering, and seeded negative sampling."""
 
-import json
 import random
-import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from embkit.errors import RecordError, ValidationError
+from embkit.errors import ValidationError
 from embkit.fusion import Candidate, ChannelEvidence, TeacherScoreSet
 from embkit.mining import (
     MiningConfig,
     filter_candidates,
-    load_mined,
     margin_threshold,
     mine,
     sample_negatives,
-    save_mined,
     subseed,
 )
 
@@ -242,27 +238,3 @@ def test_mine_composes_filter_and_sample():
     assert all(score <= mined.threshold for _, score in mined.negatives)
     assert mined.seed == subseed(7, "q1")
 
-
-def test_mined_file_roundtrip(tmp_path):
-    ts = teacher_set(p=1.0, d1=0.5, d2=0.4, d3=0.3)
-    config = MiningConfig(margin=0.95, top_k=3, num_negatives=2, seed=7)
-    mined = [mine(ts, "p", config)]
-    path = tmp_path / "mined.jsonl"
-    save_mined(path, mined)
-    assert load_mined(path) == mined
-
-
-@pytest.mark.parametrize("field, record", [
-    ("positive_score", {"positive_score": "x"}),
-    ("positive_score", {"positive_score": "1.5"}),
-    ("threshold", {"threshold": True}),
-    ("negatives[1].score", {"negatives": [{"doc_id": "d1", "score": 0.5}, {"doc_id": "d2", "score": "x"}]}),
-    ("negatives[0].score", {"negatives": [{"doc_id": "d1", "score": None}]}),
-], ids=["string-positive", "numeric-string-positive", "bool-threshold", "string-negative", "null-negative"])
-def test_mined_file_bad_score_names_line_and_field(tmp_path, field, record):
-    good = {"query_id": "q1", "positive_id": "p", "positive_score": 1.0, "threshold": 0.95,
-            "negatives": [{"doc_id": "d1", "score": 0.5}], "shortfall": False, "seed": 7}
-    path = tmp_path / "mined.jsonl"
-    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **record}) + "\n", encoding="utf-8")
-    with pytest.raises(RecordError, match=rf"mined.jsonl:2: field '{re.escape(field)}'"):
-        load_mined(path)

@@ -1,5 +1,6 @@
 """Config validation, end-to-end mining, determinism, and the CLI surface."""
 
+import argparse
 import json
 import math
 import re
@@ -10,10 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from embkit import pipeline, rerank
-from embkit.cli import main
+from embkit.cli import build_parser, main
 from embkit.errors import PipelineStageError
 from embkit.forge import load_training_records
-from embkit.mining import load_mined
 
 from conftest import FIXTURES, ScoringServer
 
@@ -50,6 +50,7 @@ def output_bytes(out_dir):
             pipeline.TRAINING_RECORDS_FILE,
             pipeline.MINED_FILE,
             pipeline.TEACHER_SCORES_FILE,
+            pipeline.RERANKER_SCORES_FILE,
             pipeline.MANIFEST_FILE,
         )
     }
@@ -105,12 +106,28 @@ class TestValidateConfig:
         problems = pipeline.validate_config(config)
         assert any("reranker" in p for p in problems)
 
+    def test_output_dir_holding_the_input_score_file_rejected(self, tmp_path):
+        # The run would rename its own reranker scores over the input.
+        config = fixture_config(tmp_path)
+        config.paths["output_dir"] = str(PIPELINE_FIXTURE)
+        problems = pipeline.validate_config(config)
+        assert any(p.startswith("paths.output_dir:") and "reranker_scores" in p for p in problems)
+        config.paths["output_dir"] = str(tmp_path / "elsewhere")
+        assert pipeline.validate_config(config) == []
+
 
 def test_readme_defaults_match_pipeline_defaults():
     block = re.search(r"### Configuration.*?```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     documented = json.loads(block.group(1))
     documented.pop("paths")
     assert documented == pipeline.DEFAULTS
+
+
+def test_readme_cli_block_lists_exactly_the_subcommands():
+    block = re.search(r"## CLI.*?```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    documented = re.findall(r"^embkit (?:--config \S+ )?([\w-]+)", block.group(1), re.M)
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(documented) == sorted(subparsers.choices)
 
 
 class TestRunMine:
@@ -124,15 +141,60 @@ class TestRunMine:
             assert record.prompt.endswith("</s>")
             assert len(record.negatives) <= 3
             assert record.positive_soft_score is not None
-        mined = load_mined(out / pipeline.MINED_FILE)
+        mined = [json.loads(line) for line in (out / pipeline.MINED_FILE).read_text().splitlines()]
         for entry in mined:
-            for _, score in entry.negatives:
-                assert score <= entry.threshold
-            assert entry.threshold == pytest.approx(0.95 * entry.positive_score)
+            for negative in entry["negatives"]:
+                assert negative["score"] <= entry["threshold"]
+            assert entry["threshold"] == pytest.approx(0.95 * entry["positive_score"])
         assert manifest["counts"] == {"queries": 3, "pairs": 4}
         assert set(manifest["inputs"]) == {
             "corpus", "queries", "qrels", "doc_vectors", "query_vectors", "reranker_scores",
         }
+        assert set(manifest["outputs"]) == {
+            pipeline.TRAINING_RECORDS_FILE, pipeline.MINED_FILE, pipeline.TEACHER_SCORES_FILE,
+            pipeline.RERANKER_SCORES_FILE,
+        }
+
+    def test_reranker_scores_file_holds_every_pool_pair(self, tmp_path):
+        pipeline.run_mine(fixture_config(tmp_path))
+        written = tmp_path / "out" / pipeline.RERANKER_SCORES_FILE
+        rows = [json.loads(line) for line in written.read_text().splitlines()]
+        assert [(r["query_id"], r["doc_id"]) for r in rows] == sorted((r["query_id"], r["doc_id"]) for r in rows)
+        # The 24 pairs of the fixture's three pools are exactly the fixture's score file.
+        fixture_scores = rerank.load_scores(PIPELINE_FIXTURE / "reranker_scores.jsonl")
+        assert len(rows) == 24
+        assert sorted(rerank.load_scores(written).items()) == sorted(fixture_scores.items())
+
+    def test_endpoint_run_reproduces_from_its_reranker_scores(self, tmp_path, scoring_server):
+        config = fixture_config(tmp_path, out_name="wire")
+        config.paths["reranker_scores"] = None
+        config.paths["reranker_endpoint"] = scoring_server.endpoint
+        manifest = pipeline.run_mine(config)
+        assert pipeline.RERANKER_SCORES_FILE in manifest["outputs"]
+        posts = scoring_server.calls
+        config = fixture_config(tmp_path, out_name="replay")
+        config.paths["reranker_scores"] = str(tmp_path / "wire" / pipeline.RERANKER_SCORES_FILE)
+        assert pipeline.validate_config(config) == []
+        pipeline.run_mine(config)
+        assert scoring_server.calls == posts
+        wire, replay = output_bytes(tmp_path / "wire"), output_bytes(tmp_path / "replay")
+        wire.pop(pipeline.MANIFEST_FILE), replay.pop(pipeline.MANIFEST_FILE)
+        assert wire == replay
+
+    def test_unknown_query_in_qrels_fails_before_any_post(self, tmp_path, scoring_server):
+        broken = tmp_path / "inputs"
+        shutil.copytree(PIPELINE_FIXTURE, broken)
+        with open(broken / "qrels.jsonl", "a", encoding="utf-8") as handle:
+            handle.write('{"query_id": "q9", "doc_id": "d1", "label": 1}\n')
+        config = pipeline.load_config(broken / "config.json")
+        config.paths["output_dir"] = str(tmp_path / "out")
+        config.paths["reranker_scores"] = None
+        config.paths["reranker_endpoint"] = scoring_server.endpoint
+        with pytest.raises(PipelineStageError) as excinfo:
+            pipeline.run_mine(config)
+        assert (excinfo.value.stage, excinfo.value.query_id) == ("mine", "q9")
+        assert "qrel references unknown query 'q9'" in str(excinfo.value)
+        assert scoring_server.calls == 0
 
     def test_shot_config_lands_in_prompt(self, tmp_path):
         pipeline.run_mine(fixture_config(tmp_path))
@@ -200,6 +262,8 @@ class TestRunMine:
         config.settings["strict"] = False
         manifest = pipeline.run_mine(config)
         assert manifest["counts"]["pairs"] == 4
+        written = rerank.load_scores(tmp_path / "out" / pipeline.RERANKER_SCORES_FILE)
+        assert len(written) == 23 and ("q2", "d7") not in written
 
     def test_unknown_task_fails_in_emit(self, tmp_path):
         broken = tmp_path / "inputs"
@@ -359,18 +423,6 @@ class TestCli:
         main(["--config", str(config), "--seed", "43", "mine"])
         second = (tmp_path / "out" / pipeline.MINED_FILE).read_bytes()
         assert first != second
-
-    def test_index_and_fuse_subcommands(self, tmp_path, capsys):
-        config = self.write_config(tmp_path)
-        assert main(["--config", str(config), "fuse"]) == 0
-        out = tmp_path / "out"
-        assert (out / "teacher_scores.jsonl").exists()
-
-    def test_rerank_subcommand_writes_cache(self, tmp_path):
-        config = self.write_config(tmp_path)
-        assert main(["--config", str(config), "rerank"]) == 0
-        cache = (tmp_path / "out" / "reranker_scores.jsonl").read_text().splitlines()
-        assert len(cache) == 24  # full fixture score set round-trips through the gateway
 
     def test_convert_nli_subcommand(self, tmp_path):
         src = tmp_path / "nli.jsonl"

@@ -8,7 +8,7 @@ import pytest
 
 from embkit import rerank
 from embkit.errors import RecordError, RerankProtocolError, RerankTransportError, ValidationError
-from embkit.rerank import RerankClient, RerankGateway, ScoreSet, load_scores
+from embkit.rerank import RerankClient, RerankGateway, ScoreSet, load_scores, save_scores
 
 from conftest import ScoringServer, default_score
 
@@ -66,7 +66,7 @@ class TestScoreFiles:
         scores.add("q1", "d1", 0.123456789)
         scores.add("q2", "d9", -17.25)
         path = tmp_path / "cache.jsonl"
-        scores.save(path)
+        save_scores(path, scores.items())
         reloaded = load_scores(path)
         assert sorted(reloaded.items()) == sorted(scores.items())
 
@@ -216,7 +216,7 @@ class TestGateway:
         assert scoring_server.calls == 1
         # And the merged cache round-trips through a file.
         path = tmp_path / "cache.jsonl"
-        gateway.scores.save(path)
+        save_scores(path, gateway.scores.items())
         assert sorted(load_scores(path).items()) == sorted(gateway.scores.items())
 
     def test_without_client_missing_stays_none(self):
