@@ -45,7 +45,7 @@ class VectorStore:
             raise ValidationError(f"vector '{vec_id}' has a component beyond float range") from exc
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError(f"vector '{vec_id}' must be a non-empty 1-d array")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValidationError(f"vector '{vec_id}' contains a non-finite component")
         if not self.ids:
             self.dim = int(arr.size)

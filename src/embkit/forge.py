@@ -287,26 +287,33 @@ def save_training_records(path, records: Iterable[TrainingRecord]) -> int:
     )
 
 
+def _typed(value, kind: type, field: str, path, lineno):
+    """value, or RecordError naming the field unless it is a JSON string (kind str) or boolean (bool)."""
+    if not isinstance(value, kind):
+        noun = "a boolean" if kind is bool else "a string"
+        raise RecordError(path, lineno, f"field '{field}' must be {noun}, got {value!r}")
+    return value
+
+
 def load_training_records(path) -> list[TrainingRecord]:
     records: list[TrainingRecord] = []
     for lineno, record in jsonl.iter_records(path):
         try:
+            text = {field: _typed(record[field], str, field, path, lineno)
+                    for field in ("task", "instruction", "query", "positive", "prompt")}
             score = record["positive_soft_score"]
             if score is not None:
                 score = jsonl.number(score, "positive_soft_score", path, lineno)
             records.append(
                 TrainingRecord(
-                    task=str(record["task"]),
-                    instruction=str(record["instruction"]),
-                    query=str(record["query"]),
-                    positive=str(record["positive"]),
+                    **text,
                     positive_soft_score=score,
                     negatives=tuple(
-                        (str(n["text"]), jsonl.number(n["score"], f"negatives[{i}].score", path, lineno))
+                        (_typed(n["text"], str, f"negatives[{i}].text", path, lineno),
+                         jsonl.number(n["score"], f"negatives[{i}].score", path, lineno))
                         for i, n in enumerate(record["negatives"])
                     ),
-                    prompt=str(record["prompt"]),
-                    shortfall=bool(record["shortfall"]),
+                    shortfall=_typed(record["shortfall"], bool, "shortfall", path, lineno),
                 )
             )
         except (KeyError, TypeError) as exc:

@@ -11,6 +11,9 @@ from typing import Any, Iterable, Iterator
 
 from .errors import RecordError, is_number
 
+# json.dumps builds a new encoder on every call that passes options.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(", ", ": "))
+
 
 def iter_records(path) -> Iterator[tuple[int, dict]]:
     """Yield (lineno, record) for each non-blank line of a JSONL file.
@@ -51,7 +54,7 @@ def dumps(record: dict) -> str:
     Key order is the insertion order of the dict, floats round-trip exactly,
     and non-ASCII text is kept readable.  Byte-stable for identical input.
     """
-    return json.dumps(record, ensure_ascii=False, separators=(", ", ": "))
+    return _ENCODER.encode(record)
 
 
 def write_records(path, records: Iterable[dict]) -> int:

@@ -27,10 +27,16 @@ from .ranking import CHANNEL_LEXICAL, RankedList, top_n
 
 # Runs of Unicode alphanumerics; underscore is a boundary, not a word char.
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
+# On ASCII text `_TOKEN` matches exactly [A-Za-z0-9]+, so lowercasing every
+# letter and blanking every other ASCII character lets split() find the
+# same tokens in one pass.
+_ASCII_TOKENS = str.maketrans({c: chr(c).lower() if chr(c).isalnum() else " " for c in range(128)})
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on Unicode non-alphanumeric boundaries."""
+    if text.isascii():
+        return text.translate(_ASCII_TOKENS).split()
     return _TOKEN.findall(text.lower())
 
 

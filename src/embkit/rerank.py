@@ -33,16 +33,10 @@ MAX_IN_FLIGHT = 4
 
 
 class ScoreSet:
-    """Id-keyed (query, doc) relevance scores.
-
-    Reads are lock-free on an immutable-after-merge dict snapshot; merges
-    are serialized by an internal lock, so any number of readers can run
-    alongside a writer.
-    """
+    """Id-keyed (query, doc) relevance scores; a stored score never changes."""
 
     def __init__(self):
         self._scores: dict[tuple[str, str], float] = {}
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._scores)
@@ -57,14 +51,11 @@ class ScoreSet:
     def add(self, query_id: str, doc_id: str, score: float) -> None:
         if not math.isfinite(score):
             raise ValidationError(f"non-finite score for ({query_id}, {doc_id})")
-        with self._lock:
-            key = (query_id, doc_id)
-            existing = self._scores.get(key)
-            if existing is not None and existing != score:
-                raise ValidationError(
-                    f"conflicting scores for {key}: {existing} vs {score}"
-                )
-            self._scores[key] = score
+        key = (query_id, doc_id)
+        existing = self._scores.get(key)
+        if existing is not None and existing != score:
+            raise ValidationError(f"conflicting scores for {key}: {existing} vs {score}")
+        self._scores[key] = score
 
     def items(self) -> list[tuple[str, str, float]]:
         return [(q, d, s) for (q, d), s in self._scores.items()]
@@ -73,7 +64,7 @@ class ScoreSet:
 def load_scores(path) -> ScoreSet:
     """Load {"query_id", "doc_id", "score"} records; duplicates are an error."""
     scores = ScoreSet()
-    seen: set[tuple[str, str]] = set()
+    stored = scores._scores
     for lineno, record in jsonl.iter_records(path):
         qid = jsonl.require(record, "query_id", path, lineno)
         did = jsonl.require(record, "doc_id", path, lineno)
@@ -82,10 +73,10 @@ def load_scores(path) -> ScoreSet:
             raise RecordError(path, lineno, "ids must be strings")
         if not is_number(score):
             raise RecordError(path, lineno, f"score for ({qid}, {did}) must be a finite number")
-        if (qid, did) in seen:
+        if (qid, did) in stored:
             raise RecordError(path, lineno, f"duplicate score for pair ({qid}, {did})")
-        seen.add((qid, did))
-        scores.add(qid, did, float(score))
+        # is_number has checked what `ScoreSet.add` would check again.
+        stored[qid, did] = float(score)
     return scores
 
 

@@ -265,8 +265,17 @@ def test_training_record_file_roundtrip(tmp_path):
     ("negatives[1].score", {"negatives": [{"text": "a", "score": 0.4}, {"text": "b", "score": "x"}]}),
     ("negatives[0].score", {"negatives": [{"text": "a", "score": None}]}),
     ("negatives[0].score", {"negatives": [{"text": "a", "score": float("nan")}]}),
+    ("task", {"task": 7}),
+    ("instruction", {"instruction": None}),
+    ("query", {"query": ["q"]}),
+    ("positive", {"positive": 1.5}),
+    ("prompt", {"prompt": {"text": "p"}}),
+    ("negatives[1].text", {"negatives": [{"text": "a", "score": 0.4}, {"text": 3, "score": 0.3}]}),
+    ("shortfall", {"shortfall": "false"}),
+    ("shortfall", {"shortfall": 0}),
 ], ids=["string-positive", "numeric-string-positive", "bool-positive", "nan-positive", "string-negative",
-        "null-negative", "nan-negative"])
+        "null-negative", "nan-negative", "int-task", "null-instruction", "list-query", "float-positive",
+        "object-prompt", "int-negative-text", "string-shortfall", "int-shortfall"])
 def test_training_record_file_bad_score_names_line_and_field(tmp_path, field, record):
     good = {"task": "MSMARCO", "instruction": "i", "query": "q", "positive": "p", "positive_soft_score": 0.5,
             "negatives": [{"text": "a", "score": 0.4}], "prompt": "Instruct: i\nQuery: q</s>", "shortfall": False}
@@ -274,3 +283,4 @@ def test_training_record_file_bad_score_names_line_and_field(tmp_path, field, re
     path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **record}) + "\n", encoding="utf-8")
     with pytest.raises(RecordError, match=rf"records.jsonl:2: field '{re.escape(field)}'"):
         load_training_records(path)
+

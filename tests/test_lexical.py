@@ -3,10 +3,13 @@
 import math
 import random
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from embkit import lexical
 from embkit.corpus import Document, Query
 from embkit.errors import ValidationError
 from embkit.lexical import (
@@ -74,6 +77,22 @@ class TestTokenize:
     def test_unicode_letters(self):
         assert tokenize("Café métro") == ["café", "métro"]
 
+    # ASCII text skips the regex; these characters sit on the edges of its classes.
+    _ASCII_EDGES = st.sampled_from("_09AZaz \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x7f-.'@[`{")
+    # Non-ASCII text keeps the regex: case folds that change length, a
+    # non-breaking space and NEL, and combining marks.
+    _UNICODE_EDGES = st.sampled_from("ßİ\x85\xa0\u0301\u0308\u2028é")
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet=_ASCII_EDGES | st.characters(max_codepoint=127)))
+    def test_ascii_matches_regex(self, text):
+        assert tokenize(text) == lexical._TOKEN.findall(text.lower())
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet=_ASCII_EDGES | _UNICODE_EDGES | st.characters()))
+    def test_mixed_matches_regex(self, text):
+        assert tokenize(text) == lexical._TOKEN.findall(text.lower())
+
 
 class TestBuildIndex:
     def test_postings_and_lengths(self):
@@ -107,6 +126,18 @@ class TestBuildIndex:
         assert all(np.array_equal(forward.postings[t], backward.postings[t]) for t in forward.postings)
         q = query("c d")
         assert search_lexical(forward, params, q, 10) == search_lexical(backward, params, q, 10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.text(alphabet=st.sampled_from("abAB019_ -.\x1f")), min_size=1, max_size=8))
+def test_ascii_index_equals_regex_index(texts):
+    docs = make_docs({f"d{i}": text for i, text in enumerate(texts)})
+    fast = build_index(docs)
+    with mock.patch.object(lexical, "tokenize", lambda text: lexical._TOKEN.findall(text.lower())):
+        slow = build_index(docs)
+    assert np.array_equal(fast.lengths, slow.lengths) and fast.avg_length == slow.avg_length
+    assert fast.postings.keys() == slow.postings.keys()
+    assert all(np.array_equal(fast.postings[t], slow.postings[t]) for t in fast.postings)
 
 
 class TestIdf:

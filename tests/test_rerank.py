@@ -38,6 +38,16 @@ class TestScoreFiles:
         with pytest.raises(RecordError, match=r"\(q1, d1\)"):
             load_scores(path)
 
+    def test_repeated_pair_with_equal_score_names_its_line(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        write_lines(path, [
+            '{"query_id": "q1", "doc_id": "d1", "score": 0.5}',
+            '{"query_id": "q1", "doc_id": "d2", "score": 0.5}',
+            '{"query_id": "q1", "doc_id": "d1", "score": 0.5}',
+        ])
+        with pytest.raises(RecordError, match=r"scores.jsonl:3: duplicate score for pair \(q1, d1\)"):
+            load_scores(path)
+
     def test_nan_score_rejected(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         write_lines(path, ['{"query_id": "q1", "doc_id": "d1", "score": NaN}'])
