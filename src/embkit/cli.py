@@ -12,14 +12,7 @@ import sys
 
 from . import corpus as corpus_mod
 from . import evalagg, forge, jsonl, loss as loss_mod, pipeline
-from .errors import (
-    EmbkitError,
-    PipelineStageError,
-    RecordError,
-    RerankProtocolError,
-    RerankTransportError,
-    ValidationError,
-)
+from .errors import EmbkitError, RecordError, ValidationError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -207,18 +200,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (PipelineStageError, RerankTransportError, RerankProtocolError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (ValidationError, RecordError) as exc:
+    except (ValidationError, RecordError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except EmbkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -80,10 +80,8 @@ class StsRecord:
 class InstructionRegistry:
     """Task name -> instruction text, seeded with the built-in templates."""
 
-    def __init__(self, entries: Mapping[str, str] | None = None):
+    def __init__(self):
         self.entries: dict[str, str] = dict(BUILTIN_INSTRUCTIONS)
-        if entries:
-            self.entries.update(entries)
 
     def __contains__(self, task: str) -> bool:
         return task in self.entries
@@ -221,25 +219,17 @@ def emit_training_records(
     doc_texts: Mapping[str, str] | None = None,
     shots: Mapping[str, Sequence[tuple[str, str]]] | None = None,
     eos_marker: str = DEFAULT_EOS_MARKER,
-    retrieval_tasks: Iterable[str] | None = None,
 ) -> Iterator[TrainingRecord]:
     """Join pairs with mined negatives and soft scores into final records.
 
-    Emits one record per pair in input order.  Pairs from retrieval tasks
-    must have a mined entry; other task types legitimately train without
-    explicit negatives and get an empty list.  Negative doc ids are
+    Emits one record per pair in input order.  A pair without a mined entry
+    gets an empty negative list and no soft score.  Negative doc ids are
     resolved against doc_texts, and a missing id is a hard error.
     """
     mined = mined or {}
-    retrieval = set(retrieval_tasks) if retrieval_tasks is not None else None
     for pair in pairs:
         instruction = registry.instruction_for(pair.task)
         entry = mined.get((pair.query_id, pair.positive_id))
-        if entry is None and retrieval is not None and pair.task in retrieval:
-            raise ValidationError(
-                f"no mined negatives for retrieval pair "
-                f"({pair.query_id}, {pair.positive_id})"
-            )
         negatives: list[tuple[str, float]] = []
         shortfall = False
         positive_soft_score: float | None = None

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import jsonl
 from .corpus import Query
-from .errors import RecordError, ValidationError
+from .errors import ValidationError
 from .ranking import (
     CHANNEL_FUSED,
     CHANNEL_LEXICAL,
@@ -146,24 +146,3 @@ def save_teacher_scores(path, sets: Iterable[TeacherScoreSet]) -> int:
             for ts in sets
         ),
     )
-
-
-def load_teacher_scores(path) -> list[TeacherScoreSet]:
-    sets: list[TeacherScoreSet] = []
-    for lineno, record in jsonl.iter_records(path):
-        qid = jsonl.require(record, "query_id", path, lineno)
-        raw = jsonl.require(record, "candidates", path, lineno)
-        if not isinstance(raw, list):
-            raise RecordError(path, lineno, "'candidates' must be a list")
-        try:
-            candidates = tuple(
-                Candidate(doc_id=c["doc_id"],
-                          fused_score=jsonl.number(c["score"], f"candidates[{i}].score", path, lineno))
-                for i, c in enumerate(raw)
-            )
-            if not isinstance(qid, str) or not all(isinstance(c.doc_id, str) for c in candidates):
-                raise RecordError(path, lineno, "ids must be strings")
-            sets.append(TeacherScoreSet(query_id=qid, candidates=candidates))
-        except (KeyError, TypeError, ValidationError) as exc:
-            raise RecordError(path, lineno, f"invalid teacher score set: {exc}") from exc
-    return sets

@@ -101,16 +101,14 @@ def filter_candidates(
     candidates: TeacherScoreSet,
     positive_id: str,
     margin: float,
-    positive_score: float | None = None,
     score_source: str = SCORE_SOURCE_FUSED,
 ) -> CandidatePool:
     """Drop the positive and everything scoring above the margin threshold.
 
     The teacher score is the fused value by default, or the raw reranker
     score when score_source is "reranker" (candidates the reranker never
-    saw are then out of consideration).  When positive_score is not given
-    it is read from the candidate set; a positive absent from the
-    candidates must come with an explicit score.
+    saw are then out of consideration).  The positive's score is read from
+    the candidate set, so a positive absent from it is an error.
     """
     if score_source == SCORE_SOURCE_FUSED:
         scored = candidates.fused()
@@ -119,13 +117,11 @@ def filter_candidates(
     else:
         raise ValidationError(f"unknown score source '{score_source}'")
 
-    if positive_score is None:
-        if positive_id not in scored:
-            raise ValidationError(
-                f"positive '{positive_id}' absent from candidates for query "
-                f"'{candidates.query_id}' and no positive_score supplied"
-            )
-        positive_score = scored[positive_id]
+    if positive_id not in scored:
+        raise ValidationError(
+            f"positive '{positive_id}' absent from candidates for query '{candidates.query_id}'"
+        )
+    positive_score = scored[positive_id]
 
     threshold = margin_threshold(
         positive_score, margin, f"positive '{positive_id}' of query '{candidates.query_id}'")
@@ -181,14 +177,10 @@ def mine(
     candidates: TeacherScoreSet,
     positive_id: str,
     config: MiningConfig,
-    positive_score: float | None = None,
     score_source: str = SCORE_SOURCE_FUSED,
 ) -> MinedNegatives:
     """Filter by margin, truncate to top_k, then sample: the full mining step."""
-    pool = filter_candidates(
-        candidates, positive_id, config.margin,
-        positive_score=positive_score, score_source=score_source,
-    )
+    pool = filter_candidates(candidates, positive_id, config.margin, score_source=score_source)
     return sample_negatives(pool, config)
 
 

@@ -39,7 +39,6 @@ DEFAULTS: dict = {
     "mining": dataclasses.asdict(mining.MiningConfig()),
     "prompt": {"eos_marker": DEFAULT_EOS_MARKER, "shots": {}},
     "strict": True,
-    "retrieval_tasks": None,
 }
 
 _INPUT_PATH_KEYS = ("corpus", "queries", "qrels", "doc_vectors", "query_vectors")
@@ -169,9 +168,6 @@ def validate_settings(config: PipelineConfig) -> list[str]:
             check(ok, f"prompt.shots.{task}: must be a list of [query, passage] pairs")
 
     check(isinstance(s.get("strict"), bool), f"strict: must be a boolean, got {s.get('strict')!r}")
-    tasks = s.get("retrieval_tasks")
-    check(tasks is None or (isinstance(tasks, list) and all(isinstance(t, str) for t in tasks)),
-          "retrieval_tasks: must be null or a list of task names")
     return errors
 
 
@@ -361,8 +357,7 @@ def run_mine(config: PipelineConfig) -> dict:
     records = _stage("emit", None, lambda: list(
         emit_training_records(
             pairs, InstructionRegistry(), mined=mined, doc_texts=doc_texts, shots=config.prompt_shots(),
-            eos_marker=config["prompt"].get("eos_marker", DEFAULT_EOS_MARKER),
-            retrieval_tasks=config["retrieval_tasks"],
+            eos_marker=config["prompt"]["eos_marker"],
         )
     ))
 

@@ -29,6 +29,9 @@ class _ScoringHandler(BaseHTTPRequestHandler):
             fail = server.fail_next > 0
             if fail:
                 server.fail_next -= 1
+        if server.reply is not None:
+            self._reply(*server.reply)
+            return
         if fail:
             self._reply(503, {"error": "unavailable"})
             return
@@ -40,8 +43,8 @@ class _ScoringHandler(BaseHTTPRequestHandler):
             scores = scores[:-1]
         self._reply(200, {"scores": scores})
 
-    def _reply(self, code: int, obj: dict):
-        body = json.dumps(obj).encode("utf-8")
+    def _reply(self, code: int, obj: dict | bytes):
+        body = obj if isinstance(obj, bytes) else json.dumps(obj).encode("utf-8")
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -58,7 +61,11 @@ def default_score(query: str, doc: str) -> float:
 
 
 class ScoringServer:
-    """In-process reranker endpoint with failure and batch-limit knobs."""
+    """In-process reranker endpoint with failure and batch-limit knobs.
+
+    Setting `httpd.reply` to `(status, body)` answers every request with it,
+    body being a JSON-serialisable object or raw bytes.
+    """
 
     def __init__(self, score_fn=None, max_batch_size=None):
         self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), _ScoringHandler)
@@ -67,6 +74,7 @@ class ScoringServer:
         self.httpd.calls = 0
         self.httpd.fail_next = 0
         self.httpd.short_response = False
+        self.httpd.reply = None
         self.httpd.state_lock = threading.Lock()
         self._thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
 

@@ -191,17 +191,10 @@ class TestEmitTrainingRecords:
     def test_classification_pair_without_negatives(self):
         records = list(emit_training_records(
             [self.pair(task="ImdbClassification")], self.registry(),
-            mined={}, retrieval_tasks={"MSMARCO"},
+            mined={},
         ))
         assert records[0].negatives == ()
         assert records[0].positive_soft_score is None
-
-    def test_missing_mined_entry_for_retrieval_task_is_error(self):
-        with pytest.raises(ValidationError, match="retrieval pair"):
-            list(emit_training_records(
-                [self.pair()], self.registry(),
-                mined={}, retrieval_tasks={"MSMARCO"},
-            ))
 
     def test_negative_id_missing_from_corpus_is_error(self):
         with pytest.raises(ValidationError, match="'n3'"):

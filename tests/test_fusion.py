@@ -1,5 +1,6 @@
 """Reciprocal rank fusion against a brute-force oracle, plus rank-only properties."""
 
+import json
 import math
 import random
 from itertools import permutations
@@ -8,11 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from embkit.corpus import Query
-from embkit.errors import RecordError, ValidationError
+from embkit.errors import ValidationError
 from embkit.fusion import (
     TeacherScoreSet,
     build_teacher_scores,
-    load_teacher_scores,
     rrf_fuse,
     save_teacher_scores,
 )
@@ -210,6 +210,8 @@ def test_teacher_score_set_ordering_enforced():
         )
     with pytest.raises(ValidationError, match="non-positive"):
         TeacherScoreSet(query_id="q", candidates=(Candidate("a", 0.0),))
+    with pytest.raises(ValidationError, match="candidate 'a' appears twice"):
+        TeacherScoreSet(query_id="q", candidates=(Candidate("a", 0.5), Candidate("a", 0.5)))
 
 
 def test_teacher_scores_file_roundtrip(tmp_path):
@@ -221,39 +223,9 @@ def test_teacher_scores_file_roundtrip(tmp_path):
         from_ids(["a"], "reranker"),
     )
     path = tmp_path / "teacher.jsonl"
-    save_teacher_scores(path, [ts])
-    loaded = load_teacher_scores(path)
-    assert len(loaded) == 1
-    assert loaded[0].query_id == "q1"
-    assert loaded[0].fused() == ts.fused()
-
-
-@pytest.mark.parametrize("score", ['"x"', '"1.5"', "true", "null", "NaN"])
-def test_teacher_scores_file_bad_score_names_line_and_field(tmp_path, score):
-    path = tmp_path / "teacher.jsonl"
-    path.write_text(
-        '{"query_id": "q1", "candidates": [{"doc_id": "a", "score": 0.5}]}\n'
-        '{"query_id": "q2", "candidates": [{"doc_id": "a", "score": 0.5}, {"doc_id": "b", "score": %s}]}\n'
-        % score, encoding="utf-8",
-    )
-    with pytest.raises(RecordError, match=r"teacher.jsonl:2: field 'candidates\[1\].score'"):
-        load_teacher_scores(path)
-
-
-def test_teacher_scores_file_repeated_doc_id_rejected(tmp_path):
-    path = tmp_path / "teacher.jsonl"
-    path.write_text('{"query_id": "q1", "candidates": [{"doc_id": "a", "score": 0.5}, {"doc_id": "a", "score": 0.5}]}\n',
-                    encoding="utf-8")
-    with pytest.raises(RecordError, match=r"teacher.jsonl:1: .*candidate 'a' appears twice"):
-        load_teacher_scores(path)
-
-
-@pytest.mark.parametrize("line", [
-    '{"query_id": 7, "candidates": [{"doc_id": "a", "score": 0.5}]}',
-    '{"query_id": "q1", "candidates": [{"doc_id": 7, "score": 0.5}]}',
-], ids=["query-id", "doc-id"])
-def test_teacher_scores_file_non_string_id_rejected(tmp_path, line):
-    path = tmp_path / "teacher.jsonl"
-    path.write_text(line + "\n", encoding="utf-8")
-    with pytest.raises(RecordError, match="teacher.jsonl:1: ids must be strings"):
-        load_teacher_scores(path)
+    assert save_teacher_scores(path, [ts]) == 1
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line) for line in lines] == [{
+        "query_id": "q1",
+        "candidates": [{"doc_id": c.doc_id, "score": c.fused_score} for c in ts.candidates],
+    }]

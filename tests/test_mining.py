@@ -69,14 +69,8 @@ class TestFilterCandidates:
 
     def test_positive_absent_without_score_is_error(self):
         ts = teacher_set(d1=0.9)
-        with pytest.raises(ValidationError, match="positive 'p'"):
+        with pytest.raises(ValidationError, match="positive 'p' absent from candidates for query 'q1'"):
             filter_candidates(ts, "p", margin=0.95)
-
-    def test_positive_absent_with_explicit_score(self):
-        ts = teacher_set(d1=0.9, d2=0.5)
-        pool = filter_candidates(ts, "p", margin=0.95, positive_score=1.0)
-        assert [d for d, _ in pool.survivors] == ["d1", "d2"]
-        assert pool.threshold == 0.95
 
     def test_widening_margin_never_shrinks_survivors(self):
         rng = random.Random(5)

@@ -233,7 +233,7 @@ class TestRunMine:
         # Any change to what the hash covers, or to how it is serialized,
         # changes every manifest; this makes such a change visible.
         assert fixture_config(tmp_path).config_hash() == (
-            "e0151ded7ac8ee6c2461c0e5761984f87b3b28759456ffb0a9d23550056dc65e"
+            "0f7ebe7eb44851b385d7fb37fd83c986f6f643f6bfe08694e76e34434c349398"
         )
 
     def test_strict_missing_score_aborts_naming_pair(self, tmp_path):
@@ -264,6 +264,23 @@ class TestRunMine:
         assert manifest["counts"]["pairs"] == 4
         written = rerank.load_scores(tmp_path / "out" / pipeline.RERANKER_SCORES_FILE)
         assert len(written) == 23 and ("q2", "d7") not in written
+
+    def test_lenient_mode_query_without_any_score_fails_naming_it(self, tmp_path):
+        trimmed = tmp_path / "inputs"
+        shutil.copytree(PIPELINE_FIXTURE, trimmed)
+        lines = (trimmed / "reranker_scores.jsonl").read_text().splitlines()
+        kept = [line for line in lines if '"query_id": "q2"' not in line]
+        assert 0 < len(kept) < len(lines)
+        (trimmed / "reranker_scores.jsonl").write_text("\n".join(kept) + "\n")
+        config = pipeline.load_config(trimmed / "config.json")
+        config.paths["output_dir"] = str(tmp_path / "out")
+        config.settings["strict"] = False
+        with pytest.raises(PipelineStageError) as excinfo:
+            pipeline.run_mine(config)
+        assert excinfo.value.stage == "rerank"
+        assert excinfo.value.query_id == "q2"
+        assert "no reranker scores available for query 'q2'" in str(excinfo.value)
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_task_fails_in_emit(self, tmp_path):
         broken = tmp_path / "inputs"
@@ -383,8 +400,9 @@ class TestCli:
         ({"rrf_k": "x"}, "\n  rrf_k: must be a number, got 'x'"),
         ({"bm25": {"k1": float("inf")}}, "bm25.k1: must be finite, got inf"),
         ({"rrf_k": float("inf")}, "rrf_k: must be finite, got inf"),
+        ({"retrieval_tasks": ["MSMARCO"]}, "retrieval_tasks: unknown setting"),
     ], ids=["fractional-pool-size", "unknown-key", "unknown-section-key", "string-rrf-k",
-            "infinite-k1", "infinite-rrf-k"])
+            "infinite-k1", "infinite-rrf-k", "removed-retrieval-tasks"])
     def test_bad_setting_exit_one(self, tmp_path, capsys, overrides, message):
         config = self.write_config(tmp_path, **overrides)
         assert main(["--config", str(config), "mine"]) == 1
@@ -436,6 +454,13 @@ class TestCli:
         assert main(["convert-nli", "--input", str(src), "--output", str(dst)]) == 0
         lines = [json.loads(line) for line in dst.read_text().splitlines()]
         assert [l["similarity"] for l in lines] == [1.0, 0.0]
+
+    def test_convert_nli_missing_input_exit_one(self, tmp_path, capsys):
+        missing = tmp_path / "absent.jsonl"
+        assert main(["convert-nli", "--input", str(missing), "--output", str(tmp_path / "sts.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "absent.jsonl" in err
+        assert not (tmp_path / "sts.jsonl").exists()
 
     def test_dedup_subcommand_expands_pairs(self, tmp_path):
         src = tmp_path / "pairs.jsonl"

@@ -1,9 +1,11 @@
-"""top_n: partial-sort ranking against a full sort of every scored id."""
+"""top_n: partial-sort ranking against a full sort of every scored id; RankedList's checks."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from embkit.ranking import CHANNEL_LEXICAL, top_n
+from embkit.errors import ValidationError
+from embkit.ranking import CHANNEL_LEXICAL, RankedList, top_n
 
 
 @settings(max_examples=300, deadline=None)
@@ -25,3 +27,13 @@ def test_equals_full_sort_with_ties_at_the_cut(pairs, n):
 def test_empty_input_and_n_beyond_length():
     assert top_n([], np.array([]), 3, CHANNEL_LEXICAL).entries == ()
     assert top_n(["b", "a"], [1.0, 1.0], 5, CHANNEL_LEXICAL).doc_ids() == ["a", "b"]
+
+
+@pytest.mark.parametrize("entries, channel, message", [
+    ((("a", 1.0),), "bm25", "unknown channel 'bm25'"),
+    ((("a", 2.0), ("b", 1.0), ("a", 0.5)), CHANNEL_LEXICAL, "duplicate doc id 'a' in lexical list"),
+    ((("a", 1.0), ("b", 1.5)), CHANNEL_LEXICAL, r"non-increasing in lexical list \(saw 1.5 after 1.0\)"),
+], ids=["unknown-channel", "repeated-doc-id", "rising-score"])
+def test_ranked_list_rejections(entries, channel, message):
+    with pytest.raises(ValidationError, match=message):
+        RankedList(entries=entries, channel=channel)

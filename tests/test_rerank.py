@@ -95,6 +95,20 @@ class TestWireProtocol:
             with pytest.raises(RerankProtocolError, match="expected 2 scores"):
                 client.request_scores([("a", "b"), ("c", "d")])
 
+    @pytest.mark.parametrize("reply, message", [
+        ((413, {"error": "batch too large"}), "without declaring a limit"),
+        ((413, b"<html>Request Entity Too Large</html>"), "without declaring a limit"),
+        ((400, {"error": "bad request"}), "HTTP 400"),
+        ((200, {"result": [1.0]}), "missing the 'scores' field"),
+    ], ids=["413-no-limit", "413-non-json-body", "400", "200-no-scores"])
+    def test_bad_reply_is_protocol_error_after_one_post(self, reply, message):
+        with ScoringServer() as server:
+            server.httpd.reply = reply
+            client = RerankClient(server.endpoint, retry_wait=0.01)
+            with pytest.raises(RerankProtocolError, match=message):
+                client.request_scores([("a", "b")])
+            assert server.calls == 1
+
     def test_score_beyond_float_range_is_protocol_error(self):
         with ScoringServer(score_fn=lambda query, doc: 10 ** 400) as server:
             client = RerankClient(server.endpoint)
