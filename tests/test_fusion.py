@@ -210,8 +210,17 @@ def test_teacher_score_set_ordering_enforced():
         )
     with pytest.raises(ValidationError, match="non-positive"):
         TeacherScoreSet(query_id="q", candidates=(Candidate("a", 0.0),))
+
+
+def test_teacher_scores_file_repeated_doc_id_rejected(tmp_path):
+    from embkit.fusion import Candidate
+
+    path = tmp_path / "teacher.jsonl"
     with pytest.raises(ValidationError, match="candidate 'a' appears twice"):
-        TeacherScoreSet(query_id="q", candidates=(Candidate("a", 0.5), Candidate("a", 0.5)))
+        save_teacher_scores(path, [TeacherScoreSet(
+            query_id="q1", candidates=(Candidate("a", 0.5), Candidate("a", 0.5)),
+        )])
+    assert not path.exists()
 
 
 def test_teacher_scores_file_roundtrip(tmp_path):
