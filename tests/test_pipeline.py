@@ -236,6 +236,17 @@ class TestRunMine:
             "0f7ebe7eb44851b385d7fb37fd83c986f6f643f6bfe08694e76e34434c349398"
         )
 
+    def test_fixture_output_digests_are_pinned(self, tmp_path):
+        """A refactor leaves every data file byte-identical.  A change meant
+        to alter an output updates these values and says so in CHANGES.md."""
+        manifest = pipeline.run_mine(fixture_config(tmp_path))
+        assert manifest["outputs"] == {
+            pipeline.TRAINING_RECORDS_FILE: "0e6d0fec0c9ce23ff30fa5e2db1b956f687579227a40dd3ec308654d5ccff773",
+            pipeline.MINED_FILE: "fc656ab8577ce9e8e55f1209cefa6e9c50be2689c35236d5eeda872a1cff78e3",
+            pipeline.TEACHER_SCORES_FILE: "516184ddbca22f17382f0cf9e2ae7397f3e030eca05da1dbbca590da6f526499",
+            pipeline.RERANKER_SCORES_FILE: "af77084026f212cb22ede0ebfc5ee7bf343bcf514dca9de1efadaf99b4db51ef",
+        }
+
     def test_strict_missing_score_aborts_naming_pair(self, tmp_path):
         trimmed = tmp_path / "inputs"
         shutil.copytree(PIPELINE_FIXTURE, trimmed)
