@@ -61,10 +61,13 @@ def main():
         print(f"  {score:.6f}  {doc_id}  {DOCS[doc_id]}")
 
     teacher = build_teacher_scores(query, lex, sem, rer, k=60)
-    print("\nper-channel audit for the top candidate:")
     best = teacher.candidates[0]
-    for channel, evidence in sorted(best.per_channel.items()):
-        print(f"  {best.doc_id} via {channel:9} rank {evidence.rank}, raw score {evidence.score:.3f}")
+    print(f"\naudit of the top candidate {best.doc_id}:")
+    for ranked in (lex, sem, rer):
+        ids = ranked.doc_ids()
+        position = ids.index(best.doc_id) + 1 if best.doc_id in ids else "absent"
+        print(f"  {ranked.channel:9} position {position}")
+    print(f"  reranker score {best.reranker_score:.3f} (what mining reads when score_source is 'reranker')")
 
     # Rank-only dependence: squashing all raw scores changes nothing.
     squashed = RankedList(

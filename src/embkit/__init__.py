@@ -44,7 +44,6 @@ from .evalagg import (
 )
 from .forge import (
     InstructionRegistry,
-    KeyedPair,
     NliRecord,
     StsRecord,
     TrainingRecord,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import jsonl
+from .corpus import Corpus, Query
 from .errors import RecordError, ValidationError
 from .mining import MinedNegatives
 
@@ -190,17 +191,6 @@ def format_prompt(
 
 
 @dataclass(frozen=True)
-class KeyedPair:
-    """A (query, positive) pair with the ids needed to join mined negatives."""
-
-    query_id: str
-    query: str
-    task: str
-    positive_id: str
-    positive: str
-
-
-@dataclass(frozen=True)
 class TrainingRecord:
     task: str
     instruction: str
@@ -213,48 +203,33 @@ class TrainingRecord:
 
 
 def emit_training_records(
-    pairs: Iterable[KeyedPair],
+    mined: Iterable[MinedNegatives],
+    queries: Mapping[str, Query],
+    corpus: Corpus,
     registry: InstructionRegistry,
-    mined: Mapping[tuple[str, str], MinedNegatives] | None = None,
-    doc_texts: Mapping[str, str] | None = None,
     shots: Mapping[str, Sequence[tuple[str, str]]] | None = None,
     eos_marker: str = DEFAULT_EOS_MARKER,
 ) -> Iterator[TrainingRecord]:
-    """Join pairs with mined negatives and soft scores into final records.
+    """Build one training record per mined entry, in input order.
 
-    Emits one record per pair in input order.  A pair without a mined entry
-    gets an empty negative list and no soft score.  Negative doc ids are
-    resolved against doc_texts, and a missing id is a hard error.
+    The task and query text come from the entry's query; the positive and
+    every negative are resolved against the corpus.  An unknown query or
+    document id is a ValidationError naming it.
     """
-    mined = mined or {}
-    for pair in pairs:
-        instruction = registry.instruction_for(pair.task)
-        entry = mined.get((pair.query_id, pair.positive_id))
-        negatives: list[tuple[str, float]] = []
-        shortfall = False
-        positive_soft_score: float | None = None
-        if entry is not None:
-            positive_soft_score = entry.positive_score
-            shortfall = entry.shortfall
-            for doc_id, score in entry.negatives:
-                if doc_texts is None or doc_id not in doc_texts:
-                    raise ValidationError(f"negative doc id '{doc_id}' missing from corpus")
-                negatives.append((doc_texts[doc_id], score))
-        prompt = format_prompt(
-            instruction,
-            shots.get(pair.task, ()) if shots else (),
-            pair.query,
-            eos_marker,
-        )
+    for m in mined:
+        query = queries.get(m.query_id)
+        if query is None:
+            raise ValidationError(f"unknown query id '{m.query_id}'")
+        instruction = registry.instruction_for(query.task)
         yield TrainingRecord(
-            task=pair.task,
+            task=query.task,
             instruction=instruction,
-            query=pair.query,
-            positive=pair.positive,
-            positive_soft_score=positive_soft_score,
-            negatives=tuple(negatives),
-            prompt=prompt,
-            shortfall=shortfall,
+            query=query.text,
+            positive=corpus.text(m.positive_id),
+            positive_soft_score=m.positive_score,
+            negatives=tuple((corpus.text(doc_id), score) for doc_id, score in m.negatives),
+            prompt=format_prompt(instruction, shots.get(query.task, ()) if shots else (), query.text, eos_marker),
+            shortfall=m.shortfall,
         )
 
 

@@ -5,13 +5,16 @@ RRF combines rankings purely through rank positions: a document ranked r
 across all lists that contain it.  Documents absent from a list get no term
 for that list rather than a penalty rank, which keeps scores comparable
 across candidate pools of different sizes.  The constant k defaults to 60.
+
+A teacher candidate keeps the two scores mining reads: its fused score and
+the raw reranker score, when the reranker scored it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from . import jsonl
 from .corpus import Query
@@ -28,23 +31,15 @@ DEFAULT_RRF_K = 60.0
 
 
 @dataclass(frozen=True)
-class ChannelEvidence:
-    """Raw score and 1-based rank a document had in one input channel."""
-
-    score: float
-    rank: int
-
-
-@dataclass(frozen=True)
 class Candidate:
     doc_id: str
     fused_score: float
-    per_channel: Mapping[str, ChannelEvidence] | None = None
+    reranker_score: float | None = None
 
 
 @dataclass(frozen=True)
 class TeacherScoreSet:
-    """Per-query soft labels: fused scores plus per-channel audit evidence.
+    """Per-query soft labels: each candidate's fused and raw reranker score.
 
     Candidates are sorted by fused score descending, ties by ascending doc
     id, no doc id appears twice, and every fused score is strictly positive
@@ -73,13 +68,9 @@ class TeacherScoreSet:
     def fused(self) -> dict[str, float]:
         return {c.doc_id: c.fused_score for c in self.candidates}
 
-    def channel_scores(self, channel: str) -> dict[str, float]:
-        """Raw scores of candidates present in one channel."""
-        out: dict[str, float] = {}
-        for cand in self.candidates:
-            if cand.per_channel and channel in cand.per_channel:
-                out[cand.doc_id] = cand.per_channel[channel].score
-        return out
+    def reranker(self) -> dict[str, float]:
+        """Raw reranker scores of the candidates the reranker scored."""
+        return {c.doc_id: c.reranker_score for c in self.candidates if c.reranker_score is not None}
 
 
 def rrf_fuse(lists: Sequence[RankedList], k: float = DEFAULT_RRF_K) -> RankedList:
@@ -111,23 +102,19 @@ def build_teacher_scores(
 ) -> TeacherScoreSet:
     """Fuse the three retrieval channels into soft labels for one query.
 
-    Fused scores equal rrf_fuse over (lex, sem, rer); the raw score and rank
-    a candidate had in each channel are retained for audit.
+    Fused scores equal rrf_fuse over (lex, sem, rer); each candidate also
+    keeps its raw score from rer.
     """
     for ranked, channel in ((lex, CHANNEL_LEXICAL), (sem, CHANNEL_SEMANTIC), (rer, CHANNEL_RERANKER)):
         if ranked.channel != channel:
             raise ValidationError(
                 f"expected a {channel} list, got channel '{ranked.channel}'"
             )
-    fused = rrf_fuse([lex, sem, rer], k)
-    evidence: dict[str, dict[str, ChannelEvidence]] = {}
-    for ranked in (lex, sem, rer):
-        for rank, (doc_id, score) in enumerate(ranked.entries, start=1):
-            evidence.setdefault(doc_id, {})[ranked.channel] = ChannelEvidence(score=score, rank=rank)
+    reranker = rer.scores()
     query_id = query.id if isinstance(query, Query) else str(query)
     candidates = tuple(
-        Candidate(doc_id=doc_id, fused_score=score, per_channel=evidence[doc_id])
-        for doc_id, score in fused.entries
+        Candidate(doc_id=doc_id, fused_score=score, reranker_score=reranker.get(doc_id))
+        for doc_id, score in rrf_fuse([lex, sem, rer], k).entries
     )
     return TeacherScoreSet(query_id=query_id, candidates=candidates)
 

@@ -24,7 +24,6 @@ from typing import Iterable
 from . import jsonl
 from .errors import ValidationError, is_integer, number_problems
 from .fusion import TeacherScoreSet
-from .ranking import CHANNEL_RERANKER
 
 SCORE_SOURCE_FUSED = "fused"
 SCORE_SOURCE_RERANKER = "reranker"
@@ -113,7 +112,7 @@ def filter_candidates(
     if score_source == SCORE_SOURCE_FUSED:
         scored = candidates.fused()
     elif score_source == SCORE_SOURCE_RERANKER:
-        scored = candidates.channel_scores(CHANNEL_RERANKER)
+        scored = candidates.reranker()
     else:
         raise ValidationError(f"unknown score source '{score_source}'")
 

@@ -25,7 +25,6 @@ from .errors import EmbkitError, PipelineStageError, ValidationError, is_integer
 from .forge import (
     DEFAULT_EOS_MARKER,
     InstructionRegistry,
-    KeyedPair,
     emit_training_records,
     save_training_records,
 )
@@ -72,7 +71,7 @@ class PipelineConfig:
     def prompt_shots(self) -> dict[str, list[tuple[str, str]]]:
         """Few-shot (query, passage) examples per task."""
         return {task: [tuple(pair) for pair in entries]
-                for task, entries in self.settings["prompt"].get("shots", {}).items()}
+                for task, entries in self.settings["prompt"]["shots"].items()}
 
     def config_hash(self) -> str:
         """Digest of the settings, all of which `mine` reads.
@@ -320,9 +319,9 @@ def run_mine(config: PipelineConfig) -> dict:
     without an endpoint.
 
     Any stage failure aborts the run with the stage name and query id.  Each
-    output is written to a temp file in the output directory and renamed into
-    place, the manifest last, so a failed run leaves the previous run's files
-    as they were.  Returns the manifest.
+    output is written to a temp file in the output directory, fsynced, and
+    renamed into place, the manifest last, so a failed run leaves the
+    previous run's files as they were.  Returns the manifest.
     """
     inputs = load_inputs(config)
     qrels = sorted(inputs.qrels, key=lambda r: (r.query_id, r.doc_id))
@@ -335,28 +334,14 @@ def run_mine(config: PipelineConfig) -> dict:
     mining_config = config.mining_config()
     score_source = config["score_source"]
 
-    pairs: list[KeyedPair] = []
-    for qrel in qrels:
-        query = inputs.queries[qrel.query_id]
-        pairs.append(
-            KeyedPair(
-                query_id=qrel.query_id, query=query.text, task=query.task, positive_id=qrel.doc_id,
-                positive=_stage("mine", qrel.query_id, inputs.corpus.text, qrel.doc_id),
-            )
-        )
-
-    mined: dict[tuple[str, str], mining.MinedNegatives] = {
-        (pair.query_id, pair.positive_id): _stage(
-            "mine", pair.query_id, mining.mine, teacher_sets[pair.query_id], pair.positive_id,
-            mining_config, score_source=score_source,
-        )
-        for pair in pairs
-    }
-
-    doc_texts = {doc_id: doc.text for doc_id, doc in inputs.corpus.documents.items()}
+    mined = [
+        _stage("mine", qrel.query_id, mining.mine, teacher_sets[qrel.query_id], qrel.doc_id,
+               mining_config, score_source=score_source)
+        for qrel in qrels
+    ]
     records = _stage("emit", None, lambda: list(
         emit_training_records(
-            pairs, InstructionRegistry(), mined=mined, doc_texts=doc_texts, shots=config.prompt_shots(),
+            mined, inputs.queries, inputs.corpus, InstructionRegistry(), shots=config.prompt_shots(),
             eos_marker=config["prompt"]["eos_marker"],
         )
     ))
@@ -367,14 +352,14 @@ def run_mine(config: PipelineConfig) -> dict:
     temp = {name: output_dir / f".{name}.{os.getpid()}.tmp" for name in (*data, MANIFEST_FILE)}
     try:
         save_training_records(temp[TRAINING_RECORDS_FILE], records)
-        mining.save_mined(temp[MINED_FILE], [mined[(p.query_id, p.positive_id)] for p in pairs])
+        mining.save_mined(temp[MINED_FILE], mined)
         fusion.save_teacher_scores(
             temp[TEACHER_SCORES_FILE], [teacher_sets[qid] for qid in sorted(teacher_sets)]
         )
         rerank.save_scores(temp[RERANKER_SCORES_FILE], (
             (qid, doc_id, score)
             for qid in sorted(teacher_sets)
-            for doc_id, score in sorted(teacher_sets[qid].channel_scores(CHANNEL_RERANKER).items())
+            for doc_id, score in sorted(teacher_sets[qid].reranker().items())
         ))
 
         manifest = {
@@ -385,11 +370,14 @@ def run_mine(config: PipelineConfig) -> dict:
                 if config.path(key)
             },
             "outputs": {name: _digest_file(temp[name]) for name in data},
-            "counts": {"queries": len(inputs.queries), "pairs": len(pairs)},
+            "counts": {"queries": len(inputs.queries), "pairs": len(mined)},
         }
         with open(temp[MANIFEST_FILE], "w", encoding="utf-8") as handle:
             json.dump(manifest, handle, indent=2, sort_keys=True)
             handle.write("\n")
+        for path in temp.values():  # on disk before any rename, so no rename can expose a short file
+            with open(path, "rb+") as handle:
+                os.fsync(handle.fileno())
         for name, path in temp.items():  # the manifest last
             os.replace(path, output_dir / name)
     except Exception:

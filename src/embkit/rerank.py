@@ -91,6 +91,7 @@ class RerankClient:
     Already-answered pairs are served from an in-memory memo without touching
     the network.  The misses of one call are split into `batch_size` chunks,
     and up to MAX_IN_FLIGHT of them are in flight at all times.
+    `upstream_calls` counts the replies that passed validation.
     """
 
     def __init__(self, endpoint: str, *, batch_size: int = 32, timeout: float = 10.0,
@@ -185,9 +186,10 @@ class RerankClient:
             try:
                 with urllib.request.urlopen(request, timeout=self.timeout) as response:
                     payload = json.loads(response.read().decode("utf-8"))
+                scores = _validate_response(payload, len(chunk))
                 with self._lock:
                     self.upstream_calls += 1
-                return _validate_response(payload, len(chunk))
+                return scores
             except urllib.error.HTTPError as exc:
                 detail = _read_error_body(exc)
                 if exc.code == 413:

@@ -5,11 +5,11 @@ import re
 
 import pytest
 
+from embkit.corpus import Corpus, Document, Query
 from embkit.errors import RecordError, ValidationError
 from embkit.forge import (
     BUILTIN_INSTRUCTIONS,
     InstructionRegistry,
-    KeyedPair,
     NliRecord,
     TrainingRecord,
     convert_nli,
@@ -159,73 +159,67 @@ class TestEmitTrainingRecords:
     def registry(self):
         return InstructionRegistry()
 
-    def pair(self, qid="q1", task="MSMARCO", positive_id="d1"):
-        return KeyedPair(query_id=qid, query="the query", task=task,
-                         positive_id=positive_id, positive="positive text")
+    def queries(self, *qids, task="MSMARCO"):
+        return {qid: Query(id=qid, text=f"query {qid}", task=task) for qid in qids or ("q1",)}
 
-    def mined_entry(self, qid="q1", positive_id="d1", negatives=7):
+    def corpus(self, negatives=7):
+        docs = [Document("d1", "positive text")]
+        docs += [Document(f"n{i}", f"negative text {i}") for i in range(negatives)]
+        return Corpus(documents={doc.id: doc for doc in docs})
+
+    def mined_entry(self, qid="q1", positive_id="d1", negatives=7, shortfall=False):
         return MinedNegatives(
             query_id=qid, positive_id=positive_id, positive_score=0.05,
             threshold=0.0475,
             negatives=tuple((f"n{i}", 0.04 - i * 0.001) for i in range(negatives)),
-            shortfall=False, seed=1,
+            shortfall=shortfall, seed=1,
         )
-
-    def doc_texts(self, negatives=7):
-        return {f"n{i}": f"negative text {i}" for i in range(negatives)}
 
     def test_retrieval_pair_with_seven_negatives(self):
         records = list(emit_training_records(
-            [self.pair()], self.registry(),
-            mined={("q1", "d1"): self.mined_entry()},
-            doc_texts=self.doc_texts(),
+            [self.mined_entry()], self.queries(), self.corpus(), self.registry(),
         ))
         assert len(records) == 1
         record = records[0]
         assert len(record.negatives) == 7
-        assert record.negatives[0][0].startswith("negative text")
+        assert record.negatives[0] == ("negative text 0", 0.04)
+        assert record.positive == "positive text"
+        assert record.query == "query q1"
         assert record.positive_soft_score == 0.05
         assert record.prompt.endswith("</s>")
         assert record.instruction == BUILTIN_INSTRUCTIONS["MSMARCO"]
 
-    def test_classification_pair_without_negatives(self):
-        records = list(emit_training_records(
-            [self.pair(task="ImdbClassification")], self.registry(),
-            mined={},
-        ))
-        assert records[0].negatives == ()
-        assert records[0].positive_soft_score is None
-
     def test_negative_id_missing_from_corpus_is_error(self):
         with pytest.raises(ValidationError, match="'n3'"):
             list(emit_training_records(
-                [self.pair()], self.registry(),
-                mined={("q1", "d1"): self.mined_entry()},
-                doc_texts=self.doc_texts(negatives=3),
+                [self.mined_entry()], self.queries(), self.corpus(negatives=3), self.registry(),
+            ))
+
+    @pytest.mark.parametrize("field, unknown", [("qid", "q9"), ("positive_id", "d9")])
+    def test_unknown_query_or_positive_id_is_error(self, field, unknown):
+        with pytest.raises(ValidationError, match=f"'{unknown}'"):
+            list(emit_training_records(
+                [self.mined_entry(**{field: unknown})], self.queries(), self.corpus(), self.registry(),
             ))
 
     def test_shortfall_flag_passes_through(self):
-        entry = MinedNegatives(
-            query_id="q1", positive_id="d1", positive_score=0.05, threshold=0.0475,
-            negatives=(("n0", 0.01),), shortfall=True, seed=1,
-        )
         records = list(emit_training_records(
-            [self.pair()], self.registry(),
-            mined={("q1", "d1"): entry}, doc_texts=self.doc_texts(1),
+            [self.mined_entry(negatives=1, shortfall=True)], self.queries(), self.corpus(1), self.registry(),
         ))
         assert records[0].shortfall
 
     def test_output_order_is_input_order(self):
-        pairs = [self.pair(qid=f"q{i}", task="SQuAD") for i in range(5)]
-        records = list(emit_training_records(pairs, self.registry()))
-        assert len(records) == 5
+        qids = [f"q{i}" for i in (3, 1, 4, 0, 2)]
+        records = list(emit_training_records(
+            [self.mined_entry(qid) for qid in qids], self.queries(*qids, task="SQuAD"),
+            self.corpus(), self.registry(),
+        ))
+        assert [r.query for r in records] == [f"query {qid}" for qid in qids]
 
     def test_prompt_roundtrips_from_stored_fields(self):
         shots = {"MSMARCO": [("sq", "sp")]}
         records = list(emit_training_records(
-            [self.pair()], self.registry(),
-            mined={("q1", "d1"): self.mined_entry()},
-            doc_texts=self.doc_texts(), shots=shots,
+            [self.mined_entry()], self.queries(), self.corpus(), self.registry(), shots=shots,
         ))
         record = records[0]
         rebuilt = format_prompt(record.instruction, shots["MSMARCO"], record.query)

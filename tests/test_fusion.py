@@ -16,7 +16,7 @@ from embkit.fusion import (
     rrf_fuse,
     save_teacher_scores,
 )
-from embkit.ranking import RankedList
+from embkit.ranking import RankedList, top_n
 
 
 def ranked(ids_scores, channel="lexical"):
@@ -169,12 +169,8 @@ class TestBuildTeacherScores:
             ranked([("a", 7.0), ("b", 5.0)], "reranker"),
             k=60,
         )
-        by_id = {c.doc_id: c for c in ts.candidates}
-        assert by_id["a"].per_channel["lexical"].rank == 1
-        assert by_id["a"].per_channel["reranker"].score == 7.0
-        assert "semantic" not in by_id["a"].per_channel
-        assert by_id["b"].per_channel["semantic"].rank == 1
-        assert ts.channel_scores("reranker") == {"a": 7.0, "b": 5.0}
+        assert {c.doc_id: c.reranker_score for c in ts.candidates} == {"a": 7.0, "b": 5.0}
+        assert ts.reranker() == {"a": 7.0, "b": 5.0}
 
     def test_mistagged_channel_rejected(self):
         with pytest.raises(ValidationError, match="semantic"):
@@ -198,6 +194,21 @@ class TestBuildTeacherScores:
         )
         expected = brute_force_rrf([lex_ids, sem_ids, rer_ids], 60)
         assert [(c.doc_id, c.fused_score) for c in ts.candidates] == expected
+
+
+CHANNEL_SCORES = st.dictionaries(
+    st.sampled_from([f"d{i}" for i in range(12)]), st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lex=CHANNEL_SCORES, sem=CHANNEL_SCORES, rer=CHANNEL_SCORES)
+def test_teacher_set_carries_fused_and_reranker_scores(lex, sem, rer):
+    lists = [top_n(list(scores), list(scores.values()), len(scores), channel)
+             for scores, channel in ((lex, "lexical"), (sem, "semantic"), (rer, "reranker"))]
+    ts = build_teacher_scores("q1", *lists)
+    assert ts.reranker() == lists[2].scores()
+    assert ts.fused() == rrf_fuse(lists).scores()
 
 
 def test_teacher_score_set_ordering_enforced():

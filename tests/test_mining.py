@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from embkit.errors import ValidationError
-from embkit.fusion import Candidate, ChannelEvidence, TeacherScoreSet
+from embkit.fusion import Candidate, TeacherScoreSet
 from embkit.mining import (
     MiningConfig,
     filter_candidates,
@@ -87,10 +87,10 @@ class TestFilterCandidates:
 
     def test_reranker_score_source(self):
         candidates = (
-            Candidate("p", 0.04, {"reranker": ChannelEvidence(9.0, 1)}),
-            Candidate("d1", 0.03, {"reranker": ChannelEvidence(8.9, 2)}),
-            Candidate("d2", 0.02, {"reranker": ChannelEvidence(2.0, 3)}),
-            Candidate("d3", 0.01, None),  # never seen by the reranker
+            Candidate("p", 0.04, reranker_score=9.0),
+            Candidate("d1", 0.03, reranker_score=8.9),
+            Candidate("d2", 0.02, reranker_score=2.0),
+            Candidate("d3", 0.01),  # never seen by the reranker
         )
         ts = TeacherScoreSet(query_id="q1", candidates=candidates)
         pool = filter_candidates(ts, "p", margin=0.95, score_source="reranker")
@@ -101,9 +101,9 @@ class TestFilterCandidates:
 
     def test_negative_reranker_positive_names_query_and_positive(self):
         candidates = (
-            Candidate("d1", 0.03, {"reranker": ChannelEvidence(-1.95, 1)}),
-            Candidate("p", 0.02, {"reranker": ChannelEvidence(-2.0, 2)}),
-            Candidate("d2", 0.01, {"reranker": ChannelEvidence(-5.0, 3)}),
+            Candidate("d1", 0.03, reranker_score=-1.95),
+            Candidate("p", 0.02, reranker_score=-2.0),
+            Candidate("d2", 0.01, reranker_score=-5.0),
         )
         ts = TeacherScoreSet(query_id="q1", candidates=candidates)
         config = MiningConfig(margin=0.95, top_k=2, num_negatives=1)
@@ -120,7 +120,7 @@ def test_no_mined_negative_scores_above_its_positive(scores, margin):
     # Reranker scores of any sign; the positive is the first candidate.
     ids = [f"d{i:02d}" for i in range(len(scores))]
     candidates = tuple(
-        Candidate(doc_id, 1.0 / (60 + i), {"reranker": ChannelEvidence(score, i + 1)})
+        Candidate(doc_id, 1.0 / (60 + i), reranker_score=score)
         for i, (doc_id, score) in enumerate(zip(ids, scores))
     )
     ts = TeacherScoreSet(query_id="q1", candidates=candidates)

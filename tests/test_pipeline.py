@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import os
 import re
 import shutil
 from pathlib import Path
@@ -330,6 +331,24 @@ class TestRunMine:
             pipeline.run_mine(fixture_config(tmp_path, rrf_k=70))
         assert output_bytes(out) == before
         assert sorted(p.name for p in out.iterdir()) == sorted(before)
+
+    def test_every_output_is_fsynced_before_the_first_rename(self, tmp_path, monkeypatch):
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def traced_fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            fsync(fd)
+
+        def traced_replace(src, dst):
+            events.append(("replace", os.stat(src).st_ino))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", traced_fsync)
+        monkeypatch.setattr(os, "replace", traced_replace)
+        pipeline.run_mine(fixture_config(tmp_path))
+        assert [kind for kind, _ in events] == ["fsync"] * 5 + ["replace"] * 5
+        assert {inode for _, inode in events[:5]} == {inode for _, inode in events[5:]}
 
     def test_pairs_of_all_queries_share_one_post(self, tmp_path, scoring_server):
         config = fixture_config(tmp_path)

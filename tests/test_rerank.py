@@ -108,6 +108,7 @@ class TestWireProtocol:
             with pytest.raises(RerankProtocolError, match=message):
                 client.request_scores([("a", "b")])
             assert server.calls == 1
+            assert client.upstream_calls == 0
 
     def test_score_beyond_float_range_is_protocol_error(self):
         with ScoringServer(score_fn=lambda query, doc: 10 ** 400) as server:
