@@ -26,8 +26,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="pipeline configuration file (JSON)")
     parser.add_argument("--seed", type=int, help="override mining.seed from the config")
-    parser.add_argument("--strict", action="store_true",
-                        help="abort on missing reranker scores (overrides config)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("mine", help="run the full pipeline: records, teacher and reranker scores, manifest")
@@ -59,8 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="append other queries' positives to each negative set")
     loss_cmd.add_argument("--lambda", dest="blend", type=float, default=0.5,
                           help="blend weight for InfoNCE vs distillation (default 0.5)")
-    loss_cmd.add_argument("--grad-check", action="store_true", dest="also_grad",
-                          help="also report the max relative gradient error")
     grad_cmd.add_argument("--eps", type=float, default=1e-5, help="finite-difference step")
 
     eval_cmd = sub.add_parser("eval", help="aggregate a model x task score file")
@@ -71,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args, *, needs_paths: bool = True) -> pipeline.PipelineConfig:
-    """The validated config with --seed and --strict applied.
+    """The validated config with --seed applied.
 
     `format-prompts`, which reads no input paths, falls back to the defaults
     without --config, and its config is checked for everything but paths.
@@ -84,8 +80,6 @@ def _load_config(args, *, needs_paths: bool = True) -> pipeline.PipelineConfig:
         config = pipeline.PipelineConfig()
     if args.seed is not None:
         config.settings["mining"]["seed"] = args.seed
-    if args.strict:
-        config.settings["strict"] = True
     validate = pipeline.validate_config if needs_paths else pipeline.validate_settings
     problems = validate(config)
     if problems:
@@ -129,7 +123,7 @@ def _cmd_format_prompts(args) -> int:
     registry = forge.InstructionRegistry()
     if args.registry:
         registry.merge_overrides(args.registry)
-    shots = config.prompt_shots()
+    shots = config["prompt"]["shots"]
     eos = config["prompt"]["eos_marker"]
     queries = corpus_mod.load_queries(args.input)
     rows = []
@@ -155,23 +149,17 @@ def _cmd_loss(args) -> int:
     if teacher is not None:
         lines.append(f"distill {loss_mod.soft_distill_loss(batch, teacher):.10f}")
         lines.append(f"blend({args.blend:g}) {loss_mod.blended_loss(batch, teacher, args.blend):.10f}")
-    if args.also_grad:
-        lines += _grad_error_lines(batch, teacher, eps=1e-5)
     print("\n".join(lines))
     return EXIT_OK
 
 
 def _cmd_grad_check(args) -> int:
     batch, teacher = _load_batch(args)
-    print("\n".join(_grad_error_lines(batch, teacher, eps=args.eps)))
-    return EXIT_OK
-
-
-def _grad_error_lines(batch, teacher, eps: float) -> list[str]:
-    lines = [f"grad-check infonce {loss_mod.infonce_grad_check(batch, eps):.3e}"]
+    lines = [f"grad-check infonce {loss_mod.infonce_grad_check(batch, args.eps):.3e}"]
     if teacher is not None:
-        lines.append(f"grad-check distill {loss_mod.distill_grad_check(batch, teacher, eps):.3e}")
-    return lines
+        lines.append(f"grad-check distill {loss_mod.distill_grad_check(batch, teacher, args.eps):.3e}")
+    print("\n".join(lines))
+    return EXIT_OK
 
 
 def _cmd_eval(args) -> int:

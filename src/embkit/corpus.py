@@ -2,6 +2,9 @@
 
 Loaders validate eagerly and fail loudly with the offending line number:
 a silently dropped or overwritten record corrupts every downstream artifact.
+`jsonl` owns what every input shares: UTF-8 JSON objects, required fields
+and their types.  The loaders here add only their own rules: non-empty
+ids and text, unique ids and qrels, labels >= 1.
 All stores are plain immutable-after-load containers; concurrent readers
 are safe.
 """
@@ -80,11 +83,9 @@ def load_corpus(path) -> Corpus:
     """
     documents: dict[str, Document] = {}
     for lineno, record in jsonl.iter_records(path):
-        doc_id = _as_str(record, "id", path, lineno)
-        text = _as_str(record, "text", path, lineno, allow_empty=True)
-        title = record.get("title", "")
-        if not isinstance(title, str):
-            raise RecordError(path, lineno, "field 'title' must be a string")
+        doc_id, text = (jsonl.string(jsonl.require(record, f, path, lineno), f, path, lineno, non_empty=True)
+                        for f in ("id", "text"))
+        title = jsonl.string(record.get("title", ""), "title", path, lineno)
         if not text.strip():
             raise RecordError(path, lineno, f"document '{doc_id}' has empty text")
         if doc_id in documents:
@@ -97,9 +98,8 @@ def load_queries(path) -> dict[str, Query]:
     """Load a JSONL query set of {"id", "text", "task"} records."""
     queries: dict[str, Query] = {}
     for lineno, record in jsonl.iter_records(path):
-        qid = _as_str(record, "id", path, lineno)
-        text = _as_str(record, "text", path, lineno)
-        task = _as_str(record, "task", path, lineno)
+        qid, text, task = (jsonl.string(jsonl.require(record, f, path, lineno), f, path, lineno, non_empty=True)
+                           for f in ("id", "text", "task"))
         if qid in queries:
             raise RecordError(path, lineno, f"duplicate query id '{qid}'")
         queries[qid] = Query(id=qid, text=text, task=task)
@@ -111,8 +111,8 @@ def load_qrels(path) -> list[Qrel]:
     qrels: list[Qrel] = []
     seen: set[tuple[str, str]] = set()
     for lineno, record in jsonl.iter_records(path):
-        qid = _as_str(record, "query_id", path, lineno)
-        did = _as_str(record, "doc_id", path, lineno)
+        qid, did = (jsonl.string(jsonl.require(record, f, path, lineno), f, path, lineno, non_empty=True)
+                    for f in ("query_id", "doc_id"))
         label = jsonl.require(record, "label", path, lineno)
         if not isinstance(label, int) or isinstance(label, bool) or label < 1:
             raise RecordError(path, lineno, "field 'label' must be an integer >= 1")
@@ -128,8 +128,8 @@ def load_pairs(path) -> list[RawPair]:
     """Load raw pairs {"query", "positives": [...], "task"}; positives non-empty."""
     pairs: list[RawPair] = []
     for lineno, record in jsonl.iter_records(path):
-        query = _as_str(record, "query", path, lineno)
-        task = _as_str(record, "task", path, lineno)
+        query, task = (jsonl.string(jsonl.require(record, f, path, lineno), f, path, lineno, non_empty=True)
+                       for f in ("query", "task"))
         positives = jsonl.require(record, "positives", path, lineno)
         if (
             not isinstance(positives, list)
@@ -186,13 +186,9 @@ def load_query_positives(path) -> list[QueryPositive]:
     """Load expanded pairs {"query", "positive", "task"} from JSONL."""
     records: list[QueryPositive] = []
     for lineno, record in jsonl.iter_records(path):
-        records.append(
-            QueryPositive(
-                query=_as_str(record, "query", path, lineno),
-                positive=_as_str(record, "positive", path, lineno),
-                source_task=_as_str(record, "task", path, lineno),
-            )
-        )
+        query, positive, task = (jsonl.string(jsonl.require(record, f, path, lineno), f, path, lineno, non_empty=True)
+                                 for f in ("query", "positive", "task"))
+        records.append(QueryPositive(query=query, positive=positive, source_task=task))
     return records
 
 
@@ -204,12 +200,3 @@ def save_query_positives(path, records: Iterable[QueryPositive]) -> int:
             for r in records
         ),
     )
-
-
-def _as_str(record: dict, field_name: str, path, lineno, allow_empty: bool = False) -> str:
-    value = jsonl.require(record, field_name, path, lineno)
-    if not isinstance(value, str):
-        raise RecordError(path, lineno, f"field '{field_name}' must be a string")
-    if not allow_empty and not value:
-        raise RecordError(path, lineno, f"field '{field_name}' must be non-empty")
-    return value

@@ -71,10 +71,8 @@ def load_vectors(path) -> VectorStore:
     """Load {"id", "vector": [...]} records; dimension is fixed by the first one."""
     store = VectorStore()
     for lineno, record in jsonl.iter_records(path):
-        vec_id = jsonl.require(record, "id", path, lineno)
+        vec_id = jsonl.string(jsonl.require(record, "id", path, lineno), "id", path, lineno, non_empty=True)
         raw = jsonl.require(record, "vector", path, lineno)
-        if not isinstance(vec_id, str) or not vec_id:
-            raise RecordError(path, lineno, "field 'id' must be a non-empty string")
         # type() is exact, so bool (an int subclass) is rejected too.
         if not isinstance(raw, list) or not raw or not set(map(type, raw)) <= {int, float}:
             raise RecordError(path, lineno, "field 'vector' must be a non-empty list of numbers")

@@ -75,14 +75,9 @@ def load_eval_matrix(path) -> EvalMatrix:
     task_category: dict[str, str] = {}
     scores: dict[tuple[str, str], float] = {}
     for lineno, record in jsonl.iter_records(path):
-        model = jsonl.require(record, "model", path, lineno)
-        task = jsonl.require(record, "task", path, lineno)
-        category = jsonl.require(record, "category", path, lineno)
-        score = jsonl.require(record, "score", path, lineno)
-        if not all(isinstance(v, str) for v in (model, task, category)):
-            raise RecordError(path, lineno, "'model', 'task', and 'category' must be strings")
-        if not isinstance(score, (int, float)) or isinstance(score, bool):
-            raise RecordError(path, lineno, "'score' must be a number")
+        model, task, category = (jsonl.string(jsonl.require(record, f, path, lineno), f, path, lineno)
+                                 for f in ("model", "task", "category"))
+        score = jsonl.number(jsonl.require(record, "score", path, lineno), "score", path, lineno)
         if not 0.0 <= score <= 100.0:
             raise RecordError(path, lineno, f"score {score} outside [0, 100]")
         if task in task_category and task_category[task] != category:
@@ -97,7 +92,7 @@ def load_eval_matrix(path) -> EvalMatrix:
             tasks.append((task, category))
         if model not in models:
             models.append(model)
-        scores[(model, task)] = float(score)
+        scores[(model, task)] = score
     return EvalMatrix(models=models, tasks=tasks, scores=scores)
 
 

@@ -96,21 +96,17 @@ class InstructionRegistry:
     def merge_overrides(self, path) -> None:
         """Merge {"task", "instruction"} records over the built-in entries."""
         for lineno, record in jsonl.iter_records(path):
-            task = jsonl.require(record, "task", path, lineno)
-            instruction = jsonl.require(record, "instruction", path, lineno)
-            if not isinstance(task, str) or not isinstance(instruction, str):
-                raise RecordError(path, lineno, "'task' and 'instruction' must be strings")
+            task, instruction = (jsonl.string(jsonl.require(record, f, path, lineno), f, path, lineno)
+                                 for f in ("task", "instruction"))
             self.entries[task] = instruction
 
 
 def load_nli(path) -> list[NliRecord]:
     records: list[NliRecord] = []
     for lineno, record in jsonl.iter_records(path):
-        premise = jsonl.require(record, "premise", path, lineno)
-        hypothesis = jsonl.require(record, "hypothesis", path, lineno)
+        premise, hypothesis = (jsonl.string(jsonl.require(record, f, path, lineno), f, path, lineno)
+                               for f in ("premise", "hypothesis"))
         label = jsonl.require(record, "label", path, lineno)
-        if not isinstance(premise, str) or not isinstance(hypothesis, str):
-            raise RecordError(path, lineno, "'premise' and 'hypothesis' must be strings")
         if label not in NLI_LABELS:
             raise RecordError(
                 path, lineno, f"label must be one of {NLI_LABELS}, got {label!r}"
@@ -165,7 +161,7 @@ def save_sts(path, records: Iterable[StsRecord]) -> int:
 
 def format_prompt(
     instruction: str,
-    shots: Sequence[tuple[str, str]] = (),
+    shots: Sequence[Sequence[str]] = (),
     query: str = "",
     eos_marker: str = DEFAULT_EOS_MARKER,
 ) -> str:
@@ -207,7 +203,7 @@ def emit_training_records(
     queries: Mapping[str, Query],
     corpus: Corpus,
     registry: InstructionRegistry,
-    shots: Mapping[str, Sequence[tuple[str, str]]] | None = None,
+    shots: Mapping[str, Sequence[Sequence[str]]] | None = None,
     eos_marker: str = DEFAULT_EOS_MARKER,
 ) -> Iterator[TrainingRecord]:
     """Build one training record per mined entry, in input order.
@@ -252,33 +248,28 @@ def save_training_records(path, records: Iterable[TrainingRecord]) -> int:
     )
 
 
-def _typed(value, kind: type, field: str, path, lineno):
-    """value, or RecordError naming the field unless it is a JSON string (kind str) or boolean (bool)."""
-    if not isinstance(value, kind):
-        noun = "a boolean" if kind is bool else "a string"
-        raise RecordError(path, lineno, f"field '{field}' must be {noun}, got {value!r}")
-    return value
-
-
 def load_training_records(path) -> list[TrainingRecord]:
     records: list[TrainingRecord] = []
     for lineno, record in jsonl.iter_records(path):
         try:
-            text = {field: _typed(record[field], str, field, path, lineno)
+            text = {field: jsonl.string(record[field], field, path, lineno)
                     for field in ("task", "instruction", "query", "positive", "prompt")}
             score = record["positive_soft_score"]
             if score is not None:
                 score = jsonl.number(score, "positive_soft_score", path, lineno)
+            shortfall = record["shortfall"]
+            if not isinstance(shortfall, bool):
+                raise RecordError(path, lineno, f"field 'shortfall' must be a boolean, got {shortfall!r}")
             records.append(
                 TrainingRecord(
                     **text,
                     positive_soft_score=score,
                     negatives=tuple(
-                        (_typed(n["text"], str, f"negatives[{i}].text", path, lineno),
+                        (jsonl.string(n["text"], f"negatives[{i}].text", path, lineno),
                          jsonl.number(n["score"], f"negatives[{i}].score", path, lineno))
                         for i, n in enumerate(record["negatives"])
                     ),
-                    shortfall=_typed(record["shortfall"], bool, "shortfall", path, lineno),
+                    shortfall=shortfall,
                 )
             )
         except (KeyError, TypeError) as exc:

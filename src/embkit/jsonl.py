@@ -1,7 +1,10 @@
-"""Line-delimited JSON input/output.
+"""Line-delimited JSON input/output, and the one reader of JSON from outside.
 
 Every persisted artifact in this toolkit is a UTF-8 JSONL file: one record
-per line, streamable and diff-friendly.
+per line, streamable and diff-friendly.  Every input, the config and every
+reranker reply is read through `parse`, and a loader checks a record's
+fields with `require`, `string` and `number`, so a bad line fails as a
+RecordError naming its file, line and field whatever its bytes are.
 """
 
 from __future__ import annotations
@@ -15,20 +18,33 @@ from .errors import RecordError, is_number
 _ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(", ", ": "))
 
 
+def parse(data: bytes) -> Any:
+    """The JSON value that data holds, or ValueError.
+
+    That covers bytes that are not UTF-8, text that is not JSON, an integer
+    longer than Python's digit limit and nesting too deep to decode.
+    """
+    try:
+        return json.loads(data.decode("utf-8"))
+    except RecursionError as exc:
+        raise ValueError("nested too deeply") from exc
+
+
 def iter_records(path) -> Iterator[tuple[int, dict]]:
     """Yield (lineno, record) for each non-blank line of a JSONL file.
 
-    Raises RecordError with the 1-based line number when a line is not a
-    JSON object.
+    Lines end at \\n, \\r or \\r\\n.  Raises RecordError with the 1-based line
+    number when a line is not UTF-8 JSON or not a JSON object.
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    # surrogateescape keeps bytes that are not UTF-8 until `parse` sees the line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RecordError(path, lineno, f"malformed JSON: {exc.msg}") from exc
+                record = parse(line.encode("utf-8", "surrogateescape"))
+            except ValueError as exc:
+                raise RecordError(path, lineno, f"malformed JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise RecordError(path, lineno, "record is not a JSON object")
             yield lineno, record
@@ -39,6 +55,14 @@ def require(record: dict, field: str, path, lineno) -> Any:
     if field not in record:
         raise RecordError(path, lineno, f"missing required field '{field}'")
     return record[field]
+
+
+def string(value, field: str, path, lineno, non_empty: bool = False) -> str:
+    """value, or RecordError naming the field unless it is a JSON string (a non-empty one if asked)."""
+    if not isinstance(value, str) or (non_empty and not value):
+        noun = "a non-empty string" if non_empty else "a string"
+        raise RecordError(path, lineno, f"field '{field}' must be {noun}, got {value!r}")
+    return value
 
 
 def number(value, field: str, path, lineno) -> float:

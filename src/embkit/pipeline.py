@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from . import dense, fusion, lexical, mining, rerank
+from . import dense, fusion, jsonl, lexical, mining, rerank
 from .errors import EmbkitError, PipelineStageError, ValidationError, is_integer, number_problems
 from .forge import (
     DEFAULT_EOS_MARKER,
@@ -68,11 +68,6 @@ class PipelineConfig:
     def bm25_params(self) -> lexical.Bm25Params:
         return lexical.Bm25Params(**self.settings["bm25"])
 
-    def prompt_shots(self) -> dict[str, list[tuple[str, str]]]:
-        """Few-shot (query, passage) examples per task."""
-        return {task: [tuple(pair) for pair in entries]
-                for task, entries in self.settings["prompt"]["shots"].items()}
-
     def config_hash(self) -> str:
         """Digest of the settings, all of which `mine` reads.
 
@@ -86,11 +81,10 @@ class PipelineConfig:
 def load_config(path) -> PipelineConfig:
     """Parse a JSON config file; relative paths resolve against its directory."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            raw = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc.msg}") from exc
+    try:
+        raw = jsonl.parse(path.read_bytes())
+    except ValueError as exc:
+        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
     settings = copy.deepcopy(DEFAULTS)
@@ -341,7 +335,7 @@ def run_mine(config: PipelineConfig) -> dict:
     ]
     records = _stage("emit", None, lambda: list(
         emit_training_records(
-            mined, inputs.queries, inputs.corpus, InstructionRegistry(), shots=config.prompt_shots(),
+            mined, inputs.queries, inputs.corpus, InstructionRegistry(), shots=config["prompt"]["shots"],
             eos_marker=config["prompt"]["eos_marker"],
         )
     ))

@@ -66,17 +66,13 @@ def load_scores(path) -> ScoreSet:
     scores = ScoreSet()
     stored = scores._scores
     for lineno, record in jsonl.iter_records(path):
-        qid = jsonl.require(record, "query_id", path, lineno)
-        did = jsonl.require(record, "doc_id", path, lineno)
-        score = jsonl.require(record, "score", path, lineno)
-        if not isinstance(qid, str) or not isinstance(did, str):
-            raise RecordError(path, lineno, "ids must be strings")
-        if not is_number(score):
-            raise RecordError(path, lineno, f"score for ({qid}, {did}) must be a finite number")
+        qid, did = (jsonl.string(jsonl.require(record, f, path, lineno), f, path, lineno)
+                    for f in ("query_id", "doc_id"))
+        score = jsonl.number(jsonl.require(record, "score", path, lineno), "score", path, lineno)
         if (qid, did) in stored:
             raise RecordError(path, lineno, f"duplicate score for pair ({qid}, {did})")
-        # is_number has checked what `ScoreSet.add` would check again.
-        stored[qid, did] = float(score)
+        # jsonl.number has checked what `ScoreSet.add` would check again.
+        stored[qid, did] = score
     return scores
 
 
@@ -185,11 +181,7 @@ class RerankClient:
                 time.sleep(self.retry_wait)
             try:
                 with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    payload = json.loads(response.read().decode("utf-8"))
-                scores = _validate_response(payload, len(chunk))
-                with self._lock:
-                    self.upstream_calls += 1
-                return scores
+                    body = response.read()
             except urllib.error.HTTPError as exc:
                 detail = _read_error_body(exc)
                 if exc.code == 413:
@@ -206,6 +198,10 @@ class RerankClient:
             except (urllib.error.URLError, TimeoutError, ConnectionError, OSError) as exc:
                 last_error = exc
                 continue
+            scores = _validate_response(body, len(chunk))
+            with self._lock:
+                self.upstream_calls += 1
+            return scores
         raise RerankTransportError(f"endpoint unreachable after {self.retries + 1} attempts: {last_error}")
 
 
@@ -216,13 +212,17 @@ class _BatchTooLarge(Exception):
 
 def _read_error_body(exc: urllib.error.HTTPError) -> dict:
     try:
-        payload = json.loads(exc.read().decode("utf-8"))
-    except Exception:
+        payload = jsonl.parse(exc.read())
+    except Exception:  # a body that cannot be read declares nothing, like one that is not JSON
         return {}
     return payload if isinstance(payload, dict) else {}
 
 
-def _validate_response(payload, expected: int) -> list[float]:
+def _validate_response(body: bytes, expected: int) -> list[float]:
+    try:
+        payload = jsonl.parse(body)
+    except ValueError as exc:
+        raise RerankProtocolError(f"response is not JSON: {exc}") from exc
     if not isinstance(payload, dict) or "scores" not in payload:
         raise RerankProtocolError("response is missing the 'scores' field")
     scores = payload["scores"]

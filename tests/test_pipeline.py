@@ -438,6 +438,18 @@ class TestCli:
         assert main(["--config", str(config), "mine"]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", [
+        b'{"rrf_k": 60, "note": "\xff"}',
+        b'{"rrf_k": ' + b"6" * 5000 + b"}",
+        b'{"prompt": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    ], ids=["not-utf8", "5000-digit-integer", "deep-nesting"])
+    def test_unreadable_config_exit_one(self, tmp_path, capsys, body):
+        config = tmp_path / "config.json"
+        config.write_bytes(body)
+        assert main(["--config", str(config), "mine"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: invalid JSON: ") and "Traceback" not in err
+
     def test_stage_error_exit_two(self, tmp_path, capsys):
         trimmed = tmp_path / "inputs"
         shutil.copytree(PIPELINE_FIXTURE, trimmed)
@@ -450,7 +462,7 @@ class TestCli:
         assert main(["--config", str(config), "mine"]) == 2
         assert "stage 'rerank'" in capsys.readouterr().err
 
-    def test_strict_flag_overrides_lenient_config(self, tmp_path, capsys):
+    def test_lenient_config_mines_past_a_missing_score(self, tmp_path):
         trimmed = tmp_path / "inputs"
         shutil.copytree(PIPELINE_FIXTURE, trimmed)
         lines = (trimmed / "reranker_scores.jsonl").read_text().splitlines()
@@ -461,8 +473,6 @@ class TestCli:
         config = trimmed / "config.json"
         config.write_text(json.dumps(raw))
         assert main(["--config", str(config), "mine"]) == 0  # lenient: drops the candidate
-        assert main(["--config", str(config), "--strict", "mine"]) == 2
-        assert "missing reranker score" in capsys.readouterr().err
 
     def test_seed_override_changes_output(self, tmp_path):
         config = self.write_config(tmp_path)

@@ -100,7 +100,11 @@ class TestWireProtocol:
         ((413, b"<html>Request Entity Too Large</html>"), "without declaring a limit"),
         ((400, {"error": "bad request"}), "HTTP 400"),
         ((200, {"result": [1.0]}), "missing the 'scores' field"),
-    ], ids=["413-no-limit", "413-non-json-body", "400", "200-no-scores"])
+        ((200, b"not json"), "response is not JSON"),
+        ((200, b"\xff\xfe"), "response is not JSON"),
+        ((200, b"[" * 100_000 + b"]" * 100_000), "response is not JSON"),
+    ], ids=["413-no-limit", "413-non-json-body", "400", "200-no-scores", "200-not-json", "200-not-utf8",
+            "200-deep-nesting"])
     def test_bad_reply_is_protocol_error_after_one_post(self, reply, message):
         with ScoringServer() as server:
             server.httpd.reply = reply
