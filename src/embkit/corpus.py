@@ -83,9 +83,9 @@ def load_corpus(path) -> Corpus:
     """
     documents: dict[str, Document] = {}
     for lineno, record in jsonl.iter_records(path):
-        doc_id, text = (jsonl.string(jsonl.require(record, f, path, lineno), f, path, lineno, non_empty=True)
-                        for f in ("id", "text"))
-        title = jsonl.string(record.get("title", ""), "title", path, lineno)
+        doc_id = jsonl.string(record, "id", path, lineno, non_empty=True)
+        text = jsonl.string(record, "text", path, lineno)
+        title = jsonl.as_string(record.get("title", ""), "title", path, lineno)
         if not text.strip():
             raise RecordError(path, lineno, f"document '{doc_id}' has empty text")
         if doc_id in documents:
@@ -98,8 +98,9 @@ def load_queries(path) -> dict[str, Query]:
     """Load a JSONL query set of {"id", "text", "task"} records."""
     queries: dict[str, Query] = {}
     for lineno, record in jsonl.iter_records(path):
-        qid, text, task = (jsonl.string(jsonl.require(record, f, path, lineno), f, path, lineno, non_empty=True)
-                           for f in ("id", "text", "task"))
+        qid = jsonl.string(record, "id", path, lineno, non_empty=True)
+        text = jsonl.string(record, "text", path, lineno, non_empty=True)
+        task = jsonl.string(record, "task", path, lineno, non_empty=True)
         if qid in queries:
             raise RecordError(path, lineno, f"duplicate query id '{qid}'")
         queries[qid] = Query(id=qid, text=text, task=task)
@@ -111,8 +112,8 @@ def load_qrels(path) -> list[Qrel]:
     qrels: list[Qrel] = []
     seen: set[tuple[str, str]] = set()
     for lineno, record in jsonl.iter_records(path):
-        qid, did = (jsonl.string(jsonl.require(record, f, path, lineno), f, path, lineno, non_empty=True)
-                    for f in ("query_id", "doc_id"))
+        qid = jsonl.string(record, "query_id", path, lineno, non_empty=True)
+        did = jsonl.string(record, "doc_id", path, lineno, non_empty=True)
         label = jsonl.require(record, "label", path, lineno)
         if not isinstance(label, int) or isinstance(label, bool) or label < 1:
             raise RecordError(path, lineno, "field 'label' must be an integer >= 1")
@@ -128,8 +129,8 @@ def load_pairs(path) -> list[RawPair]:
     """Load raw pairs {"query", "positives": [...], "task"}; positives non-empty."""
     pairs: list[RawPair] = []
     for lineno, record in jsonl.iter_records(path):
-        query, task = (jsonl.string(jsonl.require(record, f, path, lineno), f, path, lineno, non_empty=True)
-                       for f in ("query", "task"))
+        query = jsonl.string(record, "query", path, lineno, non_empty=True)
+        task = jsonl.string(record, "task", path, lineno, non_empty=True)
         positives = jsonl.require(record, "positives", path, lineno)
         if (
             not isinstance(positives, list)
@@ -186,8 +187,9 @@ def load_query_positives(path) -> list[QueryPositive]:
     """Load expanded pairs {"query", "positive", "task"} from JSONL."""
     records: list[QueryPositive] = []
     for lineno, record in jsonl.iter_records(path):
-        query, positive, task = (jsonl.string(jsonl.require(record, f, path, lineno), f, path, lineno, non_empty=True)
-                                 for f in ("query", "positive", "task"))
+        query = jsonl.string(record, "query", path, lineno, non_empty=True)
+        positive = jsonl.string(record, "positive", path, lineno, non_empty=True)
+        task = jsonl.string(record, "task", path, lineno, non_empty=True)
         records.append(QueryPositive(query=query, positive=positive, source_task=task))
     return records
 

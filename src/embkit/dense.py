@@ -71,7 +71,7 @@ def load_vectors(path) -> VectorStore:
     """Load {"id", "vector": [...]} records; dimension is fixed by the first one."""
     store = VectorStore()
     for lineno, record in jsonl.iter_records(path):
-        vec_id = jsonl.string(jsonl.require(record, "id", path, lineno), "id", path, lineno, non_empty=True)
+        vec_id = jsonl.string(record, "id", path, lineno, non_empty=True)
         raw = jsonl.require(record, "vector", path, lineno)
         # type() is exact, so bool (an int subclass) is rejected too.
         if not isinstance(raw, list) or not raw or not set(map(type, raw)) <= {int, float}:

@@ -75,8 +75,9 @@ def load_eval_matrix(path) -> EvalMatrix:
     task_category: dict[str, str] = {}
     scores: dict[tuple[str, str], float] = {}
     for lineno, record in jsonl.iter_records(path):
-        model, task, category = (jsonl.string(jsonl.require(record, f, path, lineno), f, path, lineno)
-                                 for f in ("model", "task", "category"))
+        model = jsonl.string(record, "model", path, lineno)
+        task = jsonl.string(record, "task", path, lineno)
+        category = jsonl.string(record, "category", path, lineno)
         score = jsonl.number(jsonl.require(record, "score", path, lineno), "score", path, lineno)
         if not 0.0 <= score <= 100.0:
             raise RecordError(path, lineno, f"score {score} outside [0, 100]")

@@ -96,16 +96,16 @@ class InstructionRegistry:
     def merge_overrides(self, path) -> None:
         """Merge {"task", "instruction"} records over the built-in entries."""
         for lineno, record in jsonl.iter_records(path):
-            task, instruction = (jsonl.string(jsonl.require(record, f, path, lineno), f, path, lineno)
-                                 for f in ("task", "instruction"))
+            task = jsonl.string(record, "task", path, lineno)
+            instruction = jsonl.string(record, "instruction", path, lineno)
             self.entries[task] = instruction
 
 
 def load_nli(path) -> list[NliRecord]:
     records: list[NliRecord] = []
     for lineno, record in jsonl.iter_records(path):
-        premise, hypothesis = (jsonl.string(jsonl.require(record, f, path, lineno), f, path, lineno)
-                               for f in ("premise", "hypothesis"))
+        premise = jsonl.string(record, "premise", path, lineno)
+        hypothesis = jsonl.string(record, "hypothesis", path, lineno)
         label = jsonl.require(record, "label", path, lineno)
         if label not in NLI_LABELS:
             raise RecordError(
@@ -252,7 +252,7 @@ def load_training_records(path) -> list[TrainingRecord]:
     records: list[TrainingRecord] = []
     for lineno, record in jsonl.iter_records(path):
         try:
-            text = {field: jsonl.string(record[field], field, path, lineno)
+            text = {field: jsonl.as_string(record[field], field, path, lineno)
                     for field in ("task", "instruction", "query", "positive", "prompt")}
             score = record["positive_soft_score"]
             if score is not None:
@@ -265,7 +265,7 @@ def load_training_records(path) -> list[TrainingRecord]:
                     **text,
                     positive_soft_score=score,
                     negatives=tuple(
-                        (jsonl.string(n["text"], f"negatives[{i}].text", path, lineno),
+                        (jsonl.as_string(n["text"], f"negatives[{i}].text", path, lineno),
                          jsonl.number(n["score"], f"negatives[{i}].score", path, lineno))
                         for i, n in enumerate(record["negatives"])
                     ),

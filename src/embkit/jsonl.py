@@ -3,8 +3,8 @@
 Every persisted artifact in this toolkit is a UTF-8 JSONL file: one record
 per line, streamable and diff-friendly.  Every input, the config and every
 reranker reply is read through `parse`, and a loader checks a record's
-fields with `require`, `string` and `number`, so a bad line fails as a
-RecordError naming its file, line and field whatever its bytes are.
+fields with `require`, `string`, `as_string` and `number`, so a bad line
+fails as a RecordError naming its file, line and field whatever its bytes are.
 """
 
 from __future__ import annotations
@@ -57,8 +57,13 @@ def require(record: dict, field: str, path, lineno) -> Any:
     return record[field]
 
 
-def string(value, field: str, path, lineno, non_empty: bool = False) -> str:
-    """value, or RecordError naming the field unless it is a JSON string (a non-empty one if asked)."""
+def string(record: dict, field: str, path, lineno, non_empty: bool = False) -> str:
+    """A required field, or RecordError naming it unless it is a JSON string (a non-empty one if asked)."""
+    return as_string(require(record, field, path, lineno), field, path, lineno, non_empty)
+
+
+def as_string(value, field: str, path, lineno, non_empty: bool = False) -> str:
+    """`string` for a value already fetched: an optional or nested field."""
     if not isinstance(value, str) or (non_empty and not value):
         noun = "a non-empty string" if non_empty else "a string"
         raise RecordError(path, lineno, f"field '{field}' must be {noun}, got {value!r}")

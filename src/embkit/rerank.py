@@ -66,8 +66,8 @@ def load_scores(path) -> ScoreSet:
     scores = ScoreSet()
     stored = scores._scores
     for lineno, record in jsonl.iter_records(path):
-        qid, did = (jsonl.string(jsonl.require(record, f, path, lineno), f, path, lineno)
-                    for f in ("query_id", "doc_id"))
+        qid = jsonl.string(record, "query_id", path, lineno)
+        did = jsonl.string(record, "doc_id", path, lineno)
         score = jsonl.number(jsonl.require(record, "score", path, lineno), "score", path, lineno)
         if (qid, did) in stored:
             raise RecordError(path, lineno, f"duplicate score for pair ({qid}, {did})")
@@ -181,7 +181,7 @@ class RerankClient:
                 time.sleep(self.retry_wait)
             try:
                 with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    body = response.read()
+                    reply = response.read()
             except urllib.error.HTTPError as exc:
                 detail = _read_error_body(exc)
                 if exc.code == 413:
@@ -198,7 +198,7 @@ class RerankClient:
             except (urllib.error.URLError, TimeoutError, ConnectionError, OSError) as exc:
                 last_error = exc
                 continue
-            scores = _validate_response(body, len(chunk))
+            scores = _validate_response(reply, len(chunk))
             with self._lock:
                 self.upstream_calls += 1
             return scores
@@ -218,9 +218,9 @@ def _read_error_body(exc: urllib.error.HTTPError) -> dict:
     return payload if isinstance(payload, dict) else {}
 
 
-def _validate_response(body: bytes, expected: int) -> list[float]:
+def _validate_response(reply: bytes, expected: int) -> list[float]:
     try:
-        payload = jsonl.parse(body)
+        payload = jsonl.parse(reply)
     except ValueError as exc:
         raise RerankProtocolError(f"response is not JSON: {exc}") from exc
     if not isinstance(payload, dict) or "scores" not in payload:
