@@ -66,24 +66,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args, *, needs_paths: bool = True) -> pipeline.PipelineConfig:
-    """The validated config with --seed applied.
+def _load_config(args, *, required: bool = True) -> pipeline.PipelineConfig:
+    """The config with --seed applied, or the defaults without --config when not `required`.
 
-    `format-prompts`, which reads no input paths, falls back to the defaults
-    without --config, and its config is checked for everything but paths.
+    Each command checks its config once: `run_mine` checks all of it, and
+    `format-prompts`, which reads no input paths, everything but paths.
     """
     if args.config:
         config = pipeline.load_config(args.config)
-    elif needs_paths:
+    elif required:
         raise ValidationError("this command requires --config")
     else:
         config = pipeline.PipelineConfig()
     if args.seed is not None:
         config.settings["mining"]["seed"] = args.seed
-    validate = pipeline.validate_config if needs_paths else pipeline.validate_settings
-    problems = validate(config)
-    if problems:
-        raise ValidationError("invalid config:\n  " + "\n  ".join(problems))
     return config
 
 
@@ -119,7 +115,8 @@ def _cmd_dedup(args) -> int:
 
 
 def _cmd_format_prompts(args) -> int:
-    config = _load_config(args, needs_paths=False)
+    config = _load_config(args, required=False)
+    pipeline.require_valid(pipeline.validate_settings(config))
     registry = forge.InstructionRegistry()
     if args.registry:
         registry.merge_overrides(args.registry)

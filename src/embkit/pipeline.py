@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import urllib.parse
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -115,6 +116,12 @@ def validate_config(config: PipelineConfig) -> list[str]:
     return validate_settings(config) + validate_paths(config)
 
 
+def require_valid(problems: list[str]) -> None:
+    """Raise the problems a validator found as one ValidationError, if any."""
+    if problems:
+        raise ValidationError("invalid config:\n  " + "\n  ".join(problems))
+
+
 def validate_settings(config: PipelineConfig) -> list[str]:
     """Unknown keys, range and cross-field problems of the settings; paths are not looked at.
 
@@ -176,8 +183,12 @@ def validate_paths(config: PipelineConfig) -> list[str]:
     scores_path = config.path("reranker_scores")
     if scores_path is not None and not os.path.isfile(scores_path):
         errors.append(f"paths.reranker_scores: no such file: {scores_path}")
-    if scores_path is None and not config.path("reranker_endpoint"):
+    endpoint = config.path("reranker_endpoint")
+    if scores_path is None and not endpoint:
         errors.append("paths: need reranker_scores and/or reranker_endpoint")
+    if endpoint and not _is_http_url(endpoint):
+        errors.append(f"paths.reranker_endpoint: must be an http:// or https:// URL with a host "
+                      f"and a numeric port if it names one, got {endpoint!r}")
     output_dir = config.path("output_dir")
     if output_dir is None:
         errors.append("paths.output_dir: required")
@@ -187,6 +198,15 @@ def validate_paths(config: PipelineConfig) -> list[str]:
             errors.append(f"paths.output_dir: its {RERANKER_SCORES_FILE} is the input paths.reranker_scores, "
                           "which the run would replace")
     return errors
+
+
+def _is_http_url(text: str) -> bool:
+    try:
+        url = urllib.parse.urlsplit(text)
+        url.port  # raises ValueError for a port that is not a number in range
+    except ValueError:
+        return False
+    return url.scheme in ("http", "https") and bool(url.hostname)
 
 
 def _digest_file(path) -> str:
@@ -315,8 +335,10 @@ def run_mine(config: PipelineConfig) -> dict:
     Any stage failure aborts the run with the stage name and query id.  Each
     output is written to a temp file in the output directory, fsynced, and
     renamed into place, the manifest last, so a failed run leaves the
-    previous run's files as they were.  Returns the manifest.
+    previous run's files as they were.  An invalid config is rejected before
+    any input is read.  Returns the manifest.
     """
+    require_valid(validate_config(config))
     inputs = load_inputs(config)
     qrels = sorted(inputs.qrels, key=lambda r: (r.query_id, r.doc_id))
     for qrel in qrels:  # before any query is retrieved or scored

@@ -7,6 +7,7 @@ one-exchange wire protocol:
     POST <endpoint>  {"pairs": [{"query": ..., "doc": ...}, ...]}
     200              {"scores": [...]}          same length, same order
     413              {"max_batch_size": N}      client re-chunks and retries
+    5xx                                         retried, like a reply cut short
 
 Every score handed out traces back to a file record or a wire response;
 the gateway never fabricates one.  Missing pairs are reported as None so
@@ -16,6 +17,7 @@ nothing here may assume a [0, 1] range.
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import threading
@@ -26,10 +28,13 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Sequence
 
 from . import jsonl
-from .errors import RecordError, RerankProtocolError, RerankTransportError, ValidationError, is_number
+from .errors import RecordError, RerankProtocolError, RerankTransportError, ValidationError, is_integer, is_number
 
-# Chunks of one `request_scores` call posted at once.
-MAX_IN_FLIGHT = 4
+BATCH_SIZE = 32  # pairs per POST until a 413 declares a lower limit
+MAX_IN_FLIGHT = 4  # chunks of one `request_scores` call posted at once
+TIMEOUT = 10.0  # seconds one exchange may take
+RETRIES = 2  # extra attempts after a failed exchange
+RETRY_WAIT = 0.05  # seconds before each extra attempt
 
 
 class ScoreSet:
@@ -85,20 +90,15 @@ class RerankClient:
     """Batch scoring client for the wire protocol.
 
     Already-answered pairs are served from an in-memory memo without touching
-    the network.  The misses of one call are split into `batch_size` chunks,
-    and up to MAX_IN_FLIGHT of them are in flight at all times.
+    the network.  The misses of one call are split into chunks of at most
+    `batch_size` pairs, which starts at BATCH_SIZE and drops to any limit a
+    413 declares, and up to MAX_IN_FLIGHT of them are in flight at all times.
     `upstream_calls` counts the replies that passed validation.
     """
 
-    def __init__(self, endpoint: str, *, batch_size: int = 32, timeout: float = 10.0,
-                 retries: int = 2, retry_wait: float = 0.05):
-        if batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
+    def __init__(self, endpoint: str):
         self.endpoint = endpoint
-        self.batch_size = batch_size
-        self.timeout = timeout
-        self.retries = retries
-        self.retry_wait = retry_wait
+        self.batch_size = BATCH_SIZE
         self.upstream_calls = 0
         self._memo: dict[tuple[str, str], float] = {}
         self._lock = threading.Lock()
@@ -155,11 +155,25 @@ class RerankClient:
         return scores
 
     def _post_chunk(self, chunk: list[tuple[str, str]]) -> list[float]:
-        """Scores for one chunk; a 413 re-splits it at the server's declared limit."""
+        """Scores for one chunk from the first reply below 500.
+
+        A 200 is validated, a 413 re-splits the chunk at the server's declared
+        limit, and any other status is a protocol error.
+        """
+        status, reply = self._post(chunk)
+        if status == 200:
+            scores = _validate_response(reply, len(chunk))
+            with self._lock:
+                self.upstream_calls += 1
+            return scores
+        if status != 413:
+            raise RerankProtocolError(f"endpoint returned HTTP {status}")
         try:
-            return self._post(chunk)
-        except _BatchTooLarge as exc:
-            limit = exc.max_batch_size
+            limit = jsonl.parse(reply)["max_batch_size"]
+        except (ValueError, TypeError, KeyError):  # a body that is no JSON object declares nothing
+            limit = None
+        if not (is_integer(limit) and limit >= 1):
+            raise RerankProtocolError("server rejected batch size without declaring a limit")
         if limit >= len(chunk):
             raise RerankProtocolError(f"server rejected batch of {len(chunk)} but declares limit {limit}")
         with self._lock:
@@ -167,7 +181,12 @@ class RerankClient:
         return [score for start in range(0, len(chunk), limit)
                 for score in self._post_chunk(chunk[start:start + limit])]
 
-    def _post(self, chunk: list[tuple[str, str]]) -> list[float]:
+    def _post(self, chunk: list[tuple[str, str]]) -> tuple[int, bytes]:
+        """Status and body of the first complete reply below 500.
+
+        A failed exchange, a 5xx or anything short of a complete reply, is
+        retried RETRIES times; then it is a RerankTransportError.
+        """
         body = json.dumps(
             {"pairs": [{"query": q, "doc": d} for q, d in chunk]}
         ).encode("utf-8")
@@ -175,47 +194,28 @@ class RerankClient:
             self.endpoint, data=body, method="POST",
             headers={"Content-Type": "application/json"},
         )
-        last_error: Exception | None = None
-        for attempt in range(self.retries + 1):
+        last_error: Exception | str | None = None
+        for attempt in range(RETRIES + 1):
             if attempt:
-                time.sleep(self.retry_wait)
+                time.sleep(RETRY_WAIT)
             try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    reply = response.read()
-            except urllib.error.HTTPError as exc:
-                detail = _read_error_body(exc)
-                if exc.code == 413:
-                    declared = detail.get("max_batch_size")
-                    if isinstance(declared, int) and declared >= 1:
-                        raise _BatchTooLarge(declared)
-                    raise RerankProtocolError(
-                        "server rejected batch size without declaring a limit"
-                    ) from exc
-                if 500 <= exc.code < 600:
-                    last_error = exc
-                    continue
-                raise RerankProtocolError(f"endpoint returned HTTP {exc.code}") from exc
-            except (urllib.error.URLError, TimeoutError, ConnectionError, OSError) as exc:
+                status, reply = _exchange(request)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
-            scores = _validate_response(reply, len(chunk))
-            with self._lock:
-                self.upstream_calls += 1
-            return scores
-        raise RerankTransportError(f"endpoint unreachable after {self.retries + 1} attempts: {last_error}")
+            if status < 500:
+                return status, reply
+            last_error = f"HTTP {status}"
+        raise RerankTransportError(f"endpoint unreachable after {RETRIES + 1} attempts: {last_error}")
 
 
-class _BatchTooLarge(Exception):
-    def __init__(self, max_batch_size: int):
-        self.max_batch_size = max_batch_size
-
-
-def _read_error_body(exc: urllib.error.HTTPError) -> dict:
+def _exchange(request: urllib.request.Request) -> tuple[int, bytes]:
+    """Status and complete body of one reply, whatever its status."""
     try:
-        payload = jsonl.parse(exc.read())
-    except Exception:  # a body that cannot be read declares nothing, like one that is not JSON
-        return {}
-    return payload if isinstance(payload, dict) else {}
+        with urllib.request.urlopen(request, timeout=TIMEOUT) as response:
+            return response.status, response.read()
+    except urllib.error.HTTPError as exc:
+        return exc.code, exc.read()
 
 
 def _validate_response(reply: bytes, expected: int) -> list[float]:

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from embkit import pipeline, rerank
 from embkit.cli import build_parser, main
-from embkit.errors import PipelineStageError
+from embkit.errors import PipelineStageError, ValidationError
 from embkit.forge import load_training_records
 
 from conftest import FIXTURES, ScoringServer
@@ -196,6 +196,23 @@ class TestRunMine:
         assert (excinfo.value.stage, excinfo.value.query_id) == ("mine", "q9")
         assert "qrel references unknown query 'q9'" in str(excinfo.value)
         assert scoring_server.calls == 0
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"pool_size": True}, "pool_size: must be an integer >= 1, got True"),
+        ({"strict": "no"}, "strict: must be a boolean, got 'no'"),
+        ({"pool_size": 2.5}, "pool_size: must be an integer >= 1, got 2.5"),
+        ({"prompt": {"shots": {"MSMARCO": [["only a query"]]}}},
+         "prompt.shots.MSMARCO: must be a list of [query, passage] pairs"),
+        ({"prompt": {"eos_marker": 5}}, "prompt.eos_marker: must be a non-empty string"),
+        ({"rrf_k": float("inf")}, "rrf_k: must be finite, got inf"),
+    ], ids=["bool-pool-size", "string-strict", "fractional-pool-size", "one-element-shot", "int-eos-marker",
+            "infinite-rrf-k"])
+    def test_invalid_config_rejected_before_any_input_is_read(self, tmp_path, overrides, message):
+        with pytest.raises(ValidationError) as excinfo:
+            pipeline.run_mine(fixture_config(tmp_path, **overrides))
+        assert str(excinfo.value).startswith("invalid config:\n  ")
+        assert message in str(excinfo.value)
+        assert not (tmp_path / "out").exists()
 
     def test_shot_config_lands_in_prompt(self, tmp_path):
         pipeline.run_mine(fixture_config(tmp_path))
@@ -431,8 +448,15 @@ class TestCli:
         ({"bm25": {"k1": float("inf")}}, "bm25.k1: must be finite, got inf"),
         ({"rrf_k": float("inf")}, "rrf_k: must be finite, got inf"),
         ({"retrieval_tasks": ["MSMARCO"]}, "retrieval_tasks: unknown setting"),
+        ({"paths": {"reranker_endpoint": "not a url"}},
+         "paths.reranker_endpoint: must be an http:// or https:// URL with a host and a numeric port "
+         "if it names one, got 'not a url'"),
+        ({"paths": {"reranker_endpoint": "http://127.0.0.1:notaport/score"}},
+         "paths.reranker_endpoint: must be an http:// or https:// URL with a host and a numeric port "
+         "if it names one, got 'http://127.0.0.1:notaport/score'"),
     ], ids=["fractional-pool-size", "unknown-key", "unknown-section-key", "string-rrf-k",
-            "infinite-k1", "infinite-rrf-k", "removed-retrieval-tasks"])
+            "infinite-k1", "infinite-rrf-k", "removed-retrieval-tasks", "endpoint-not-a-url",
+            "endpoint-port-not-a-number"])
     def test_bad_setting_exit_one(self, tmp_path, capsys, overrides, message):
         config = self.write_config(tmp_path, **overrides)
         assert main(["--config", str(config), "mine"]) == 1

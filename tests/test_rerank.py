@@ -1,5 +1,6 @@
 """Score files, the wire protocol client, and the caching gateway."""
 
+import socket
 import sys
 import threading
 import time
@@ -105,10 +106,11 @@ class TestWireProtocol:
         ((200, b"[" * 100_000 + b"]" * 100_000), "response is not JSON"),
     ], ids=["413-no-limit", "413-non-json-body", "400", "200-no-scores", "200-not-json", "200-not-utf8",
             "200-deep-nesting"])
-    def test_bad_reply_is_protocol_error_after_one_post(self, reply, message):
+    def test_bad_reply_is_protocol_error_after_one_post(self, reply, message, monkeypatch):
+        monkeypatch.setattr(rerank, "RETRY_WAIT", 0.01)
         with ScoringServer() as server:
             server.httpd.reply = reply
-            client = RerankClient(server.endpoint, retry_wait=0.01)
+            client = RerankClient(server.endpoint)
             with pytest.raises(RerankProtocolError, match=message):
                 client.request_scores([("a", "b")])
             assert server.calls == 1
@@ -120,15 +122,18 @@ class TestWireProtocol:
             with pytest.raises(RerankProtocolError, match="non-numeric score"):
                 client.request_scores([("a", "b")])
 
-    def test_unreachable_endpoint_is_transport_error(self):
-        client = RerankClient("http://127.0.0.1:9/score", retries=0, timeout=0.5)
+    def test_unreachable_endpoint_is_transport_error(self, monkeypatch):
+        monkeypatch.setattr(rerank, "RETRIES", 0)
+        monkeypatch.setattr(rerank, "TIMEOUT", 0.5)
+        client = RerankClient("http://127.0.0.1:9/score")
         with pytest.raises(RerankTransportError):
             client.request_scores([("a", "b")])
 
-    def test_5xx_retried_then_succeeds(self):
+    def test_5xx_retried_then_succeeds(self, monkeypatch):
+        monkeypatch.setattr(rerank, "RETRY_WAIT", 0.01)
         with ScoringServer() as server:
             server.httpd.fail_next = 1
-            client = RerankClient(server.endpoint, retry_wait=0.01)
+            client = RerankClient(server.endpoint)
             scores = client.request_scores([("a", "b")])
             assert scores == [default_score("a", "b")]
             assert server.calls == 2
@@ -142,9 +147,10 @@ class TestWireProtocol:
         assert client.upstream_calls == 1
         assert scoring_server.calls == 1
 
-    def test_server_declared_batch_limit_respected(self):
+    def test_server_declared_batch_limit_respected(self, monkeypatch):
+        monkeypatch.setattr(rerank, "BATCH_SIZE", 10)
         with ScoringServer(max_batch_size=2) as server:
-            client = RerankClient(server.endpoint, batch_size=10)
+            client = RerankClient(server.endpoint)
             pairs = [(f"q{i}", f"d{i}") for i in range(5)]
             scores = client.request_scores(pairs)
             assert scores == [default_score(q, d) for q, d in pairs]
@@ -158,9 +164,10 @@ class TestWireProtocol:
         assert scores[0] == scores[1] == default_score("a", "b")
         assert client.upstream_calls == 1
 
-    def test_each_rejected_chunk_resplit_at_declared_limit(self):
+    def test_each_rejected_chunk_resplit_at_declared_limit(self, monkeypatch):
+        monkeypatch.setattr(rerank, "BATCH_SIZE", 10)
         with ScoringServer(max_batch_size=2) as server:
-            client = RerankClient(server.endpoint, batch_size=10)
+            client = RerankClient(server.endpoint)
             pairs = [(f"q{i}", f"d{i}") for i in range(25)]
             scores = client.request_scores(pairs)
             assert scores == [default_score(q, d) for q, d in pairs]
@@ -169,9 +176,10 @@ class TestWireProtocol:
             assert client.upstream_calls == 13
             assert client.batch_size == 2
 
-    def test_learned_limit_applies_to_chunks_not_yet_cut(self):
+    def test_learned_limit_applies_to_chunks_not_yet_cut(self, monkeypatch):
+        monkeypatch.setattr(rerank, "BATCH_SIZE", 10)
         with ScoringServer(max_batch_size=2) as server:
-            client = RerankClient(server.endpoint, batch_size=10)
+            client = RerankClient(server.endpoint)
             pairs = [(f"q{i}", f"d{i}") for i in range(100)]
             assert client.request_scores(pairs) == [default_score(q, d) for q, d in pairs]
             # Only the chunks cut before the first post are refused; the
@@ -179,15 +187,18 @@ class TestWireProtocol:
             assert client.upstream_calls == 50
             assert server.calls == 50 + rerank.MAX_IN_FLIGHT
 
-    def test_failed_chunk_stops_new_posts(self):
+    def test_failed_chunk_stops_new_posts(self, monkeypatch):
+        monkeypatch.setattr(rerank, "BATCH_SIZE", 1)
+        monkeypatch.setattr(rerank, "RETRIES", 0)
         with ScoringServer() as server:
             server.httpd.fail_next = 10 ** 6
-            client = RerankClient(server.endpoint, batch_size=1, retries=0)
+            client = RerankClient(server.endpoint)
             with pytest.raises(RerankTransportError):
                 client.request_scores([(f"q{i}", "d") for i in range(40)])
             assert server.calls <= 2 * rerank.MAX_IN_FLIGHT
 
-    def test_chunks_posted_concurrently_up_to_the_cap(self):
+    def test_chunks_posted_concurrently_up_to_the_cap(self, monkeypatch):
+        monkeypatch.setattr(rerank, "BATCH_SIZE", 1)
         lock = threading.Lock()
         active = peak = 0
 
@@ -202,17 +213,18 @@ class TestWireProtocol:
             return default_score(query, doc)
 
         with ScoringServer(score_fn=slow_score) as server:
-            client = RerankClient(server.endpoint, batch_size=1)
+            client = RerankClient(server.endpoint)
             pairs = [(f"q{i}", "d") for i in range(3 * rerank.MAX_IN_FLIGHT)]
             assert client.request_scores(pairs) == [default_score(q, d) for q, d in pairs]
         assert 1 < peak <= rerank.MAX_IN_FLIGHT
 
-    def test_concurrent_requests_keep_counters_exact(self):
+    def test_concurrent_requests_keep_counters_exact(self, monkeypatch):
+        monkeypatch.setattr(rerank, "BATCH_SIZE", 4)
         switch_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ScoringServer(max_batch_size=2) as server:
-                client = RerankClient(server.endpoint, batch_size=4)
+                client = RerankClient(server.endpoint)
                 threads = [
                     threading.Thread(target=client.request_scores,
                                      args=([(f"q{t}", f"d{i}") for i in range(10)],))
@@ -229,6 +241,90 @@ class TestWireProtocol:
         # increment would leave the count short.
         assert client.upstream_calls == 8 * 5
         assert client.batch_size == 2
+
+
+def http_reply(body: bytes, length: int | None = None) -> bytes:
+    """A raw HTTP 200 reply whose Content-Length is `length`, by default the body's."""
+    head = f"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {length or len(body)}\r\n\r\n"
+    return head.encode("ascii") + body
+
+
+class RawReplyServer:
+    """Localhost socket server that reads each request whole and answers it
+    with the next of `replies`, byte for byte, then closes the connection;
+    the last reply repeats."""
+
+    def __init__(self, *replies: bytes):
+        self.replies = replies
+        self.calls = 0
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.sock.settimeout(0.05)
+        self.stopped = threading.Event()
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+
+    def __enter__(self):
+        self.thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.stopped.set()
+        self.thread.join(timeout=5.0)
+        self.sock.close()
+
+    @property
+    def endpoint(self) -> str:
+        host, port = self.sock.getsockname()
+        return f"http://{host}:{port}/score"
+
+    def _serve(self):
+        while not self.stopped.is_set():
+            try:
+                conn, _ = self.sock.accept()
+            except TimeoutError:
+                continue
+            conn.settimeout(5.0)
+            with conn, conn.makefile("rb") as stream:
+                length = 0
+                while (line := stream.readline()) not in (b"\r\n", b""):
+                    if line.lower().startswith(b"content-length:"):
+                        length = int(line.split(b":")[1])
+                stream.read(length)
+                reply = self.replies[min(self.calls, len(self.replies) - 1)]
+                self.calls += 1  # before the reply, so a client that has it sees the count
+                conn.sendall(reply)
+
+
+SHORT_REPLY = http_reply(b'{"scores": [0.5]}', length=100)
+
+
+class TestFailedExchanges:
+    """A reply cut short or garbled is a failed exchange: retried, then a transport error."""
+
+    @pytest.fixture(autouse=True)
+    def quick_retries(self, monkeypatch):
+        monkeypatch.setattr(rerank, "RETRY_WAIT", 0.01)
+
+    def test_short_body_retried_then_transport_error(self):
+        with RawReplyServer(SHORT_REPLY) as server:
+            client = RerankClient(server.endpoint)
+            with pytest.raises(RerankTransportError, match="IncompleteRead"):
+                client.request_scores([("a", "b")])
+            assert server.calls == rerank.RETRIES + 1
+            assert client.upstream_calls == 0
+
+    def test_short_body_then_good_reply_returns_scores(self):
+        with RawReplyServer(SHORT_REPLY, http_reply(b'{"scores": [0.5]}')) as server:
+            client = RerankClient(server.endpoint)
+            assert client.request_scores([("a", "b")]) == [0.5]
+            assert server.calls == 2
+            assert client.upstream_calls == 1
+
+    def test_malformed_status_line_is_transport_error(self):
+        with RawReplyServer(b"garbage\r\n\r\n") as server:
+            client = RerankClient(server.endpoint)
+            with pytest.raises(RerankTransportError, match="garbage"):
+                client.request_scores([("a", "b")])
+            assert server.calls == rerank.RETRIES + 1
 
 
 class TestGateway:
