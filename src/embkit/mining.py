@@ -7,9 +7,12 @@ below a fixed fraction of the positive's score:
 
 Candidates scoring above the threshold are too close to the positive and
 are excluded as likely false negatives; the boundary itself is inclusive
-("maximum allowable" means allowed).  The rule needs a positive score
-above zero, which fused scores always have; a raw reranker score at or below
-zero is rejected.  From the survivors, the top_k best
+("maximum allowable" means allowed).  A labelled positive of the query is a
+certain false negative: when the query has several qrels, every one of them
+is dropped from the candidates of each, whatever it scores, while the
+threshold still comes from the positive being mined.  The margin rule needs a
+positive score above zero, which fused scores always have; a raw reranker
+score at or below zero is rejected.  From the survivors, the top_k best
 are kept and a seeded random subset of num_negatives is drawn to promote
 diversity without sacrificing reproducibility.
 """
@@ -101,12 +104,15 @@ def filter_candidates(
     positive_id: str,
     margin: float,
     score_source: str = SCORE_SOURCE_FUSED,
+    *,
+    positives: Iterable[str] = (),
 ) -> CandidatePool:
-    """Drop the positive and everything scoring above the margin threshold.
+    """Drop the query's positives and everything scoring above the margin threshold.
 
-    The teacher score is the fused value by default, or the raw reranker
-    score when score_source is "reranker" (candidates the reranker never
-    saw are then out of consideration).  The positive's score is read from
+    `positives` are the query's qrel doc ids; `positive_id` is dropped even
+    when they omit it.  The teacher score is the fused value by default, or
+    the raw reranker score when score_source is "reranker" (candidates the
+    reranker never saw are then out of consideration).  The positive's score is read from
     the candidate set, so a positive absent from it is an error.
     """
     if score_source == SCORE_SOURCE_FUSED:
@@ -124,10 +130,11 @@ def filter_candidates(
 
     threshold = margin_threshold(
         positive_score, margin, f"positive '{positive_id}' of query '{candidates.query_id}'")
+    labelled = {positive_id, *positives}
     survivors = [
         (doc_id, score)
         for doc_id, score in scored.items()
-        if doc_id != positive_id and score <= threshold
+        if doc_id not in labelled and score <= threshold
     ]
     survivors.sort(key=lambda item: (-item[1], item[0]))
     return CandidatePool(
@@ -177,9 +184,15 @@ def mine(
     positive_id: str,
     config: MiningConfig,
     score_source: str = SCORE_SOURCE_FUSED,
+    *,
+    positives: Iterable[str] = (),
 ) -> MinedNegatives:
-    """Filter by margin, truncate to top_k, then sample: the full mining step."""
-    pool = filter_candidates(candidates, positive_id, config.margin, score_source=score_source)
+    """Filter by margin, truncate to top_k, then sample: the full mining step.
+
+    `positives` are the query's qrel doc ids; none of them is mined.
+    """
+    pool = filter_candidates(candidates, positive_id, config.margin, score_source=score_source,
+                             positives=positives)
     return sample_negatives(pool, config)
 
 

@@ -227,6 +227,13 @@ class PipelineInputs:
     query_vectors: dense.VectorStore
     gateway: rerank.RerankGateway
 
+    def positives_by_query(self) -> dict[str, list[str]]:
+        """Each query's qrel doc ids."""
+        positives: dict[str, list[str]] = {}
+        for qrel in self.qrels:
+            positives.setdefault(qrel.query_id, []).append(qrel.doc_id)
+        return positives
+
 
 def _stage(name: str, query_id: str | None, fn, *args, **kwargs):
     """Call fn; an EmbkitError escapes as a PipelineStageError naming the
@@ -312,9 +319,7 @@ def score_all_queries(config: PipelineConfig, inputs: PipelineInputs) -> dict[st
     names stage `rerank` and no query), and each query is reranked and
     fused from the filled cache.
     """
-    positives_by_query: dict[str, list[str]] = {}
-    for qrel in inputs.qrels:
-        positives_by_query.setdefault(qrel.query_id, []).append(qrel.doc_id)
+    positives_by_query = inputs.positives_by_query()
     queries = list(inputs.queries.values())
     retrieved = [retrieve_query(config, inputs, query, positives_by_query.get(query.id, []))
                  for query in queries]
@@ -349,10 +354,11 @@ def run_mine(config: PipelineConfig) -> dict:
     teacher_sets = score_all_queries(config, inputs)
     mining_config = config.mining_config()
     score_source = config["score_source"]
+    positives_by_query = inputs.positives_by_query()
 
     mined = [
         _stage("mine", qrel.query_id, mining.mine, teacher_sets[qrel.query_id], qrel.doc_id,
-               mining_config, score_source=score_source)
+               mining_config, score_source=score_source, positives=positives_by_query[qrel.query_id])
         for qrel in qrels
     ]
     records = _stage("emit", None, lambda: list(

@@ -31,7 +31,10 @@ from . import jsonl
 from .errors import RecordError, RerankProtocolError, RerankTransportError, ValidationError, is_integer, is_number
 
 BATCH_SIZE = 32  # pairs per POST until a 413 declares a lower limit
-MAX_IN_FLIGHT = 4  # chunks of one `request_scores` call posted at once
+# Chunks of one `request_scores` call posted at once.  No more than 6: Linux
+# queues at most 6 unaccepted connects on a socket listening with Python
+# socketserver's backlog of 5, and may drop the SYN of a 7th, resent after 1 s.
+MAX_IN_FLIGHT = 6
 TIMEOUT = 10.0  # seconds one exchange may take
 RETRIES = 2  # extra attempts after a failed exchange
 RETRY_WAIT = 0.05  # seconds before each extra attempt
@@ -93,7 +96,11 @@ class RerankClient:
     the network.  The misses of one call are split into chunks of at most
     `batch_size` pairs, which starts at BATCH_SIZE and drops to any limit a
     413 declares, and up to MAX_IN_FLIGHT of them are in flight at all times.
-    `upstream_calls` counts the replies that passed validation.
+    The cap is 6 because an endpoint served by Python's http.server (listen
+    backlog 5) has room for at most 6 connects that it has not yet accepted
+    on Linux; a client with more of them open can have a SYN dropped, which
+    costs a 1 s resend.  `upstream_calls` counts the replies that passed
+    validation.
     """
 
     def __init__(self, endpoint: str):

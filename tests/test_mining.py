@@ -133,6 +133,42 @@ def test_no_mined_negative_scores_above_its_positive(scores, margin):
     assert all(score <= scores[0] for _, score in mined.negatives)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.floats(min_value=1e-6, max_value=1.0),
+                            st.floats(allow_nan=False, allow_infinity=False), st.booleans()),
+                  min_size=1, max_size=12),
+    margin=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    score_source=st.sampled_from(["fused", "reranker"]),
+)
+def test_no_mined_negative_is_a_qrel_positive_of_its_query(rows, margin, score_source):
+    # Each row is (fused score, reranker score, labelled positive?); the
+    # first row is always labelled, so every query has a positive to mine.
+    rows = sorted(rows, key=lambda row: -row[0])
+    ids = [f"d{i:02d}" for i in range(len(rows))]
+    candidates = tuple(Candidate(doc_id, fused, reranker_score=reranker)
+                       for doc_id, (fused, reranker, _) in zip(ids, rows))
+    ts = TeacherScoreSet(query_id="q1", candidates=candidates)
+    positives = [doc_id for i, (doc_id, (_, _, labelled)) in enumerate(zip(ids, rows)) if labelled or i == 0]
+    config = MiningConfig(margin=margin, top_k=len(ids), num_negatives=len(ids))
+    for positive_id in positives:
+        try:
+            mined = mine(ts, positive_id, config, score_source=score_source, positives=positives)
+        except ValidationError:
+            assert score_source == "reranker"
+            continue
+        assert not {doc_id for doc_id, _ in mined.negatives} & set(positives)
+
+
+def test_other_positive_below_the_threshold_is_not_mined():
+    ts = teacher_set(p=1.0, p2=0.5, d1=0.4)
+    config = MiningConfig(margin=0.95, top_k=5, num_negatives=2)
+    assert {d for d, _ in mine(ts, "p", config).negatives} == {"p2", "d1"}
+    mined = mine(ts, "p", config, positives=["p", "p2"])
+    assert mined.negatives == (("d1", 0.4),)
+    assert mined.threshold == 0.95
+
+
 class TestSampleNegatives:
     def config(self, **kwargs):
         defaults = dict(margin=0.95, top_k=10, num_negatives=7, seed=1234)

@@ -265,6 +265,17 @@ class TestRunMine:
             pipeline.RERANKER_SCORES_FILE: "af77084026f212cb22ede0ebfc5ee7bf343bcf514dca9de1efadaf99b4db51ef",
         }
 
+    def test_reranker_mode_never_mines_a_co_positive(self, tmp_path):
+        # q1 has qrels d1 and d2.  In reranker mode d2 scores 8.4, within
+        # d1's threshold 9.1 x 0.95, so only the qrel rule keeps it out.
+        pipeline.run_mine(fixture_config(tmp_path, score_source="reranker"))
+        lines = (tmp_path / "out" / pipeline.MINED_FILE).read_text(encoding="utf-8").splitlines()
+        mined = {(r["query_id"], r["positive_id"]): r for r in map(json.loads, lines)}
+        q1_d1 = mined["q1", "d1"]
+        assert q1_d1["threshold"] == 9.1 * 0.95 >= 8.4
+        assert "d2" not in [n["doc_id"] for n in q1_d1["negatives"]]
+        assert "d1" not in [n["doc_id"] for n in mined["q1", "d2"]["negatives"]]
+
     def test_strict_missing_score_aborts_naming_pair(self, tmp_path):
         trimmed = tmp_path / "inputs"
         shutil.copytree(PIPELINE_FIXTURE, trimmed)

@@ -1,9 +1,11 @@
 """Score files, the wire protocol client, and the caching gateway."""
 
+import re
 import socket
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,9 @@ from embkit.errors import RecordError, RerankProtocolError, RerankTransportError
 from embkit.rerank import RerankClient, RerankGateway, ScoreSet, load_scores, save_scores
 
 from conftest import ScoringServer, default_score
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_lines(path, lines):
@@ -218,6 +223,26 @@ class TestWireProtocol:
             assert client.request_scores(pairs) == [default_score(q, d) for q, d in pairs]
         assert 1 < peak <= rerank.MAX_IN_FLIGHT
 
+    def test_every_lane_fits_the_accept_queue_of_a_python_endpoint(self, monkeypatch):
+        # Nothing is accepted for 0.3 s, so every lane's connect waits in the
+        # kernel's queue of an http.server socket (backlog 5).  A connect that
+        # did not fit would have its SYN dropped and resent only after 1 s.
+        monkeypatch.setattr(rerank, "BATCH_SIZE", 1)
+        server = ScoringServer()
+        late_start = threading.Timer(0.3, server.__enter__)
+        late_start.start()
+        try:
+            client = RerankClient(server.endpoint)
+            pairs = [(f"q{i}", "d") for i in range(2 * rerank.MAX_IN_FLIGHT)]
+            began = time.perf_counter()
+            scores = client.request_scores(pairs)
+            elapsed = time.perf_counter() - began
+        finally:
+            late_start.join()
+            server.__exit__(None, None, None)
+        assert scores == [default_score(q, d) for q, d in pairs]
+        assert elapsed < 1.0
+
     def test_concurrent_requests_keep_counters_exact(self, monkeypatch):
         monkeypatch.setattr(rerank, "BATCH_SIZE", 4)
         switch_interval = sys.getswitchinterval()
@@ -354,3 +379,13 @@ class TestGateway:
         scores.add("q1", "d1", 1.0)
         with pytest.raises(ValidationError, match="conflicting"):
             scores.add("q1", "d1", 2.0)
+
+
+def test_readme_states_the_client_constants():
+    # Every "`NAME` (value" in README that names a client constant, in the
+    # wire paragraph and elsewhere, equals the constant itself.
+    stated = re.findall(r"`(?:rerank\.)?([A-Z_]+)` \(([0-9.]+)", README.read_text(encoding="utf-8"))
+    client = {"BATCH_SIZE", "MAX_IN_FLIGHT", "TIMEOUT", "RETRIES", "RETRY_WAIT"}
+    assert {name for name, _ in stated} == client
+    for name, value in stated:
+        assert float(value) == getattr(rerank, name), name
