@@ -23,7 +23,6 @@ from .errors import RecordError, ValidationError
 class Document:
     id: str
     text: str
-    title: str = ""
 
 
 @dataclass(frozen=True)
@@ -62,12 +61,6 @@ class QueryPositive:
 class Corpus:
     documents: dict[str, Document] = field(default_factory=dict)
 
-    def __len__(self) -> int:
-        return len(self.documents)
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self.documents
-
     def text(self, doc_id: str) -> str:
         if doc_id not in self.documents:
             raise ValidationError(f"unknown document id '{doc_id}'")
@@ -75,7 +68,7 @@ class Corpus:
 
 
 def load_corpus(path) -> Corpus:
-    """Load a JSONL corpus of {"id", "text", "title"?} records.
+    """Load a JSONL corpus of {"id", "text"} records; other fields are ignored.
 
     Duplicate ids are a hard error: last-wins would silently invalidate any
     qrels pointing at the overwritten document.  Text must be non-empty
@@ -85,12 +78,11 @@ def load_corpus(path) -> Corpus:
     for lineno, record in jsonl.iter_records(path):
         doc_id = jsonl.string(record, "id", path, lineno, non_empty=True)
         text = jsonl.string(record, "text", path, lineno)
-        title = jsonl.as_string(record.get("title", ""), "title", path, lineno)
         if not text.strip():
             raise RecordError(path, lineno, f"document '{doc_id}' has empty text")
         if doc_id in documents:
             raise RecordError(path, lineno, f"duplicate document id '{doc_id}'")
-        documents[doc_id] = Document(id=doc_id, text=text, title=title)
+        documents[doc_id] = Document(id=doc_id, text=text)
     return Corpus(documents=documents)
 
 

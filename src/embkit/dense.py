@@ -9,12 +9,16 @@ from __future__ import annotations
 import numpy as np
 
 from . import jsonl
-from .errors import RecordError, ValidationError
+from .errors import EmbkitError, RecordError, ValidationError
 from .ranking import CHANNEL_SEMANTIC, RankedList, top_n
 
 
 class VectorStore:
-    """Vectors as the rows of one float64 matrix, in the order they were added."""
+    """Vectors as the rows of one float64 matrix, in the order they were added.
+
+    `add` checks each vector before it stores it.  `load_vectors` writes rows
+    straight into the matrix and checks finiteness once, over all of it.
+    """
 
     def __init__(self):
         self.dim = 0
@@ -24,9 +28,6 @@ class VectorStore:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __contains__(self, vec_id: str) -> bool:
-        return vec_id in self._rows
 
     @property
     def matrix(self) -> np.ndarray:
@@ -47,28 +48,49 @@ class VectorStore:
             raise ValidationError(f"vector '{vec_id}' must be a non-empty 1-d array")
         if not np.isfinite(arr).all():
             raise ValidationError(f"vector '{vec_id}' contains a non-finite component")
-        if not self.ids:
-            self.dim = int(arr.size)
-            self._buffer = np.empty((0, self.dim))
-        elif arr.size != self.dim:
-            raise ValidationError(
-                f"vector '{vec_id}' has dimension {arr.size}, expected {self.dim}"
-            )
+        if self.ids and arr.size != self.dim:
+            raise ValidationError(f"vector '{vec_id}' has dimension {arr.size}, expected {self.dim}")
         if vec_id in self._rows:
             raise ValidationError(f"duplicate vector id '{vec_id}'")
+        self._append(vec_id, arr)
+
+    def _append(self, vec_id: str, vector) -> None:
+        """`add` for a list of numbers, less its finiteness check; a number
+        beyond float range raises OverflowError."""
         row = len(self.ids)
+        # A one-number list would broadcast over a row; `add` raises on it.
+        if (row and len(vector) != self.dim) or vec_id in self._rows:
+            return self.add(vec_id, vector)
+        if not row:
+            self.dim = len(vector)
+            self._buffer = np.empty((0, self.dim))
         if row == len(self._buffer):
             # Doubling keeps appends amortised O(dim) without a copy per row.
             grown = np.empty((max(1, 2 * row), self.dim))
             grown[:row] = self.matrix
             self._buffer = grown
-        self._buffer[row] = arr
+        self._buffer[row] = vector
         self._rows[vec_id] = row
         self.ids.append(vec_id)
 
 
 def load_vectors(path) -> VectorStore:
-    """Load {"id", "vector": [...]} records; dimension is fixed by the first one."""
+    """Load {"id", "vector": [...]} records, at least one; the first fixes the dimension.
+
+    Rows go straight into the store's matrix and finiteness is checked once,
+    over all of it.  If any check fails, the file is read again through
+    `add`, record by record, so the error is the one `add` gives.
+    """
+    try:
+        store = _read_vectors(path, VectorStore._append)
+        if np.isfinite(store.matrix).all():
+            return store
+    except (EmbkitError, OverflowError):
+        pass
+    return _read_vectors(path, VectorStore.add)
+
+
+def _read_vectors(path, add) -> VectorStore:
     store = VectorStore()
     for lineno, record in jsonl.iter_records(path):
         vec_id = jsonl.string(record, "id", path, lineno, non_empty=True)
@@ -77,19 +99,12 @@ def load_vectors(path) -> VectorStore:
         if not isinstance(raw, list) or not raw or not set(map(type, raw)) <= {int, float}:
             raise RecordError(path, lineno, "field 'vector' must be a non-empty list of numbers")
         try:
-            store.add(vec_id, raw)
+            add(store, vec_id, raw)
         except ValidationError as exc:
             raise RecordError(path, lineno, str(exc)) from exc
+    if not store.ids:
+        raise ValidationError(f"{path}: no vector records")
     return store
-
-
-def semantic_score(q_vec, d_vec) -> float:
-    """Plain dot product between a query vector and a document vector."""
-    q = np.asarray(q_vec, dtype=np.float64)
-    d = np.asarray(d_vec, dtype=np.float64)
-    if q.shape != d.shape:
-        raise ValidationError(f"vector length mismatch: {q.shape} vs {d.shape}")
-    return float(np.dot(q, d))
 
 
 def search_semantic(store: VectorStore, q_vec, n: int) -> RankedList:

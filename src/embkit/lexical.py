@@ -16,8 +16,8 @@ import re
 from array import array
 from bisect import bisect_left
 from collections import defaultdict
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -54,18 +54,36 @@ class Bm25Params:
             raise ValidationError(*problems)
 
 
+class Postings(Mapping):
+    """Read-only term -> (row, tf) pairs, cut on lookup from one array sorted
+    by (term, row), so building the index makes no object per term."""
+
+    def __init__(self, term_ids: dict[str, int], pairs: np.ndarray, bounds: list[int]):
+        self._term_ids, self._pairs, self._bounds = term_ids, pairs, bounds
+
+    def __getitem__(self, term: str) -> np.ndarray:
+        t = self._term_ids[term]
+        return self._pairs[self._bounds[t]:self._bounds[t + 1]]
+
+    def __iter__(self):
+        return iter(self._term_ids)
+
+    def __len__(self) -> int:
+        return len(self._term_ids)
+
+
 @dataclass
 class InvertedIndex:
-    """Term postings as arrays plus the corpus statistics BM25 needs.
+    """Term postings plus the corpus statistics BM25 needs.
 
     Row r is the r-th document in ascending id order: `doc_ids[r]` is its id
     and `lengths[r]` its token count.  `postings[term]` is a (df, 2) int
-    array of (row, tf) pairs, rows ascending.
+    array of (row, tf) pairs, rows ascending; see `Postings`.
     """
 
     doc_ids: np.ndarray
     lengths: np.ndarray
-    postings: dict[str, np.ndarray]
+    postings: Postings
     avg_length: float
 
     @property
@@ -108,19 +126,22 @@ def build_index(corpus: Iterable[Document]) -> InvertedIndex:
     keys, tfs = np.unique(keys, return_counts=True)
     term_of_key, row_of_key = np.divmod(keys, doc_count)
     pairs = np.column_stack((row_of_key, tfs))
-    bounds = np.searchsorted(term_of_key, np.arange(len(vocab) + 1))
-    postings = {term: pairs[bounds[t]:bounds[t + 1]] for term, t in sorted(vocab.items())}
+    bounds = np.searchsorted(term_of_key, np.arange(len(vocab) + 1)).tolist()
+    vocab.default_factory = None  # frozen: an absent term raises KeyError, never joins
     return InvertedIndex(
         doc_ids=np.array(ids, dtype=object),
         lengths=lengths,
-        postings=postings,
+        postings=Postings(vocab, pairs, bounds),
         avg_length=int(lengths.sum()) / doc_count,
     )
 
 
 def idf(index: InvertedIndex, term: str) -> float:
     """Smoothed inverse document frequency; defined (and positive) even at df = 0."""
-    df = index.doc_frequency(term)
+    return _idf(index, index.doc_frequency(term))
+
+
+def _idf(index: InvertedIndex, df: int) -> float:
     return math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
 
 
@@ -148,7 +169,7 @@ def bm25_score(index: InvertedIndex, params: Bm25Params, query: Query, doc_id: s
             continue
         at = int(np.searchsorted(posting[:, 0], row))
         if at < len(posting) and posting[at, 0] == row:
-            score += _term_weight(index, params, idf(index, term), int(posting[at, 1]), length)
+            score += _term_weight(index, params, _idf(index, len(posting)), int(posting[at, 1]), length)
     return score
 
 
@@ -166,7 +187,7 @@ def search_lexical(index: InvertedIndex, params: Bm25Params, query: Query, n: in
         if posting is None:
             continue
         rows, tfs = posting[:, 0], posting[:, 1]
-        acc[rows] += _term_weight(index, params, idf(index, term), tfs, index.lengths[rows])
+        acc[rows] += _term_weight(index, params, _idf(index, len(posting)), tfs, index.lengths[rows])
         matched[rows] = True
     rows = np.flatnonzero(matched)
     return top_n(index.doc_ids[rows], acc[rows], n, CHANNEL_LEXICAL)

@@ -33,7 +33,7 @@ from .ranking import CHANNEL_RERANKER, RankedList, top_n
 
 DEFAULTS: dict = {
     "bm25": dataclasses.asdict(lexical.Bm25Params()),
-    "rrf_k": 60.0,
+    "rrf_k": fusion.DEFAULT_RRF_K,
     "pool_size": 50,
     "score_source": mining.SCORE_SOURCE_FUSED,
     "mining": dataclasses.asdict(mining.MiningConfig()),

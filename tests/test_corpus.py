@@ -5,6 +5,7 @@ import random
 import pytest
 
 from embkit.corpus import (
+    Document,
     QueryPositive,
     RawPair,
     dedup,
@@ -28,13 +29,14 @@ class TestLoadCorpus:
         path = tmp_path / "corpus.jsonl"
         write_lines(path, [
             '{"id": "d1", "text": "alpha"}',
-            '{"id": "d2", "text": "beta", "title": "B"}',
+            '{"id": "d2", "text": "beta", "title": 7}',
             '{"id": "d3", "text": "gamma"}',
         ])
         corpus = load_corpus(path)
-        assert len(corpus) == 3
+        assert len(corpus.documents) == 3
         assert corpus.text("d2") == "beta"
-        assert corpus.documents["d2"].title == "B"
+        # Fields other than id and text, such as a title of any type, are ignored.
+        assert corpus.documents["d2"] == Document(id="d2", text="beta")
 
     def test_empty_text_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "corpus.jsonl"

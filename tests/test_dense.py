@@ -1,14 +1,13 @@
-"""Vector store, dot-product scoring, and full-scan search."""
+"""Vector store, vector loading, and full-scan search."""
+
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from embkit.dense import (
-    VectorStore,
-    load_vectors,
-    search_semantic,
-    semantic_score,
-)
+from embkit import jsonl
+from embkit.dense import VectorStore, load_vectors, search_semantic
 from embkit.errors import RecordError, ValidationError
 
 
@@ -64,30 +63,109 @@ class TestLoadVectors:
         with pytest.raises(RecordError, match="duplicate"):
             load_vectors(path)
 
+    @pytest.mark.parametrize("text", ["", "\n \n\r\n\t\n"], ids=["empty", "blank-lines"])
+    def test_file_without_records_rejected(self, tmp_path, text):
+        path = tmp_path / "vectors.jsonl"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: no vector records")):
+            load_vectors(path)
 
-class TestSemanticScore:
-    def test_orthogonal(self):
-        assert semantic_score([1, 0], [0, 1]) == 0.0
 
-    def test_hand_case(self):
-        assert semantic_score([1, 2], [3, 4]) == 11.0
+class ReferenceStore:
+    """Reference loader for `load_vectors`: each record is converted, checked
+    in `add`'s order and appended before the next is read."""
 
-    def test_unit_self_similarity(self):
-        assert semantic_score([1, 0, 0], [1, 0, 0]) == 1.0
+    def __init__(self):
+        self.dim = 0
+        self.ids: list[str] = []
+        self._rows: dict[str, int] = {}
+        self.rows: list[np.ndarray] = []
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            semantic_score([1, 2], [1, 2, 3])
-
-    def test_bilinear_in_first_argument(self):
-        rng = np.random.default_rng(42)
-        for _ in range(100):
-            q = rng.normal(size=8)
-            d = rng.normal(size=8)
-            alpha = rng.normal()
-            assert semantic_score(alpha * q, d) == pytest.approx(
-                alpha * semantic_score(q, d), rel=1e-12, abs=1e-12
+    def add(self, vec_id, vector):
+        try:
+            arr = np.asarray(vector, dtype=np.float64)
+        except OverflowError as exc:
+            raise ValidationError(f"vector '{vec_id}' has a component beyond float range") from exc
+        if arr.ndim != 1 or arr.size == 0:
+            raise ValidationError(f"vector '{vec_id}' must be a non-empty 1-d array")
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"vector '{vec_id}' contains a non-finite component")
+        if not self.ids:
+            self.dim = int(arr.size)
+        elif arr.size != self.dim:
+            raise ValidationError(
+                f"vector '{vec_id}' has dimension {arr.size}, expected {self.dim}"
             )
+        if vec_id in self._rows:
+            raise ValidationError(f"duplicate vector id '{vec_id}'")
+        self._rows[vec_id] = len(self.ids)
+        self.ids.append(vec_id)
+        self.rows.append(arr)
+
+    @classmethod
+    def load(cls, path):
+        store = cls()
+        for lineno, record in jsonl.iter_records(path):
+            vec_id = jsonl.string(record, "id", path, lineno, non_empty=True)
+            raw = jsonl.require(record, "vector", path, lineno)
+            if not isinstance(raw, list) or not raw or not set(map(type, raw)) <= {int, float}:
+                raise RecordError(path, lineno, "field 'vector' must be a non-empty list of numbers")
+            try:
+                store.add(vec_id, raw)
+            except ValidationError as exc:
+                raise RecordError(path, lineno, str(exc)) from exc
+        return store
+
+
+_COMPONENTS = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.integers(-2**70, 2**70).map(str)
+_FAULTS = st.sampled_from(["true", '"0.5"', "null", "NaN", "-Infinity", "1e400", "-1e400", "9" * 400])
+
+
+@st.composite
+def vector_files(draw):
+    """JSONL text of vector records with faults: bad components (two on one
+    line at most), wrong dimensions, repeated ids, blank and \\r lines."""
+    dim = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", "{"])))
+            continue
+        size = draw(st.sampled_from([dim] * 6 + [dim - 1, dim + 1, 1]))
+        components = draw(st.lists(_COMPONENTS, min_size=size, max_size=size))
+        for _ in range(draw(st.sampled_from([0] * 6 + [1, 2])) if components else 0):
+            components[draw(st.integers(0, len(components) - 1))] = draw(_FAULTS)
+        vec_id = draw(st.sampled_from("abcdef"))
+        lines.append('{"id": "%s", "vector": [%s]}' % (vec_id, ", ".join(components)))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=400, deadline=None)
+@given(vector_files())
+@example('{"id": "a", "vector": [1, NaN]}\n{"id": "b", "vector": [1, 2, true]}\n')
+@example('{"id": "a", "vector": [1, 2]}\n{"id": "b", "vector": [NaN, 2, 3]}\n{"id": "a", "vector": [1]}\n')
+@example('{"id": "a", "vector": [1, 2]}\n{"id": "a", "vector": [1e400, %s]}\n' % ("9" * 400))
+@example('{"id": "a", "vector": [1, 2]}\n{"id": "a", "vector": [3, 4]}\n')
+@example('{"id": "a", "vector": [1, 2]}\n{"id": "b", "vector": [3]}\n')
+@example('{"id": "a", "vector": [1, Infinity]}\n{\n')
+def test_load_vectors_matches_per_row_loader(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "vectors.jsonl"
+    path.write_bytes(text.encode())
+    try:
+        expected = ReferenceStore.load(path)
+    except RecordError as exc:
+        with pytest.raises(RecordError) as got:
+            load_vectors(path)
+        assert str(got.value) == str(exc)
+        return
+    if not expected.ids:
+        with pytest.raises(ValidationError, match="no vector records"):
+            load_vectors(path)
+        return
+    store = load_vectors(path)
+    assert store.ids == expected.ids and store.dim == expected.dim
+    assert store.matrix.tobytes() == np.array(expected.rows).tobytes()
 
 
 class TestSearchSemantic:

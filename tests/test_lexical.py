@@ -140,6 +140,32 @@ def test_ascii_index_equals_regex_index(texts):
     assert all(np.array_equal(fast.postings[t], slow.postings[t]) for t in fast.postings)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "dd", "e1", "ß"]), max_size=6), min_size=1, max_size=8))
+def test_postings_equal_brute_force_counts(token_lists):
+    docs = make_docs({f"d{i}": " ".join(tokens) or "_" for i, tokens in enumerate(token_lists)})
+    index = build_index(docs)
+    rows = {doc_id: row for row, doc_id in enumerate(index.doc_ids)}
+    vocab = {t for tokens in token_lists for t in tokens}
+    assert len(index.postings) == len(vocab) and set(index.postings) == vocab
+    for term in vocab:
+        expected = sorted((rows[f"d{i}"], tokens.count(term)) for i, tokens in enumerate(token_lists) if term in tokens)
+        assert index.postings[term].tolist() == [list(pair) for pair in expected]
+        assert index.postings.get(term).tolist() == index.postings[term].tolist()
+        assert term in index.postings and index.doc_frequency(term) == len(expected)
+
+
+def test_absent_terms_never_join_the_vocabulary():
+    index = build_index(make_docs({"d1": "a b", "d2": "b c"}))
+    assert index.postings.get("absent") is None and index.postings.get("absent", ()) == ()
+    assert "absent" not in index.postings
+    with pytest.raises(KeyError):
+        index.postings["absent"]
+    assert search_lexical(index, Bm25Params(), query("absent b zzz"), 10).doc_ids() == ["d1", "d2"]
+    assert bm25_score(index, Bm25Params(), query("absent"), "d1") == 0.0
+    assert len(index.postings) == 3 and set(index.postings) == {"a", "b", "c"}
+
+
 class TestIdf:
     def test_hand_values(self):
         index = build_index(make_docs({"d1": "a b", "d2": "c", "d3": "d"}))

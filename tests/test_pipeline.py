@@ -497,6 +497,20 @@ class TestCli:
         assert main(["--config", str(config), "mine"]) == 2
         assert "stage 'rerank'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, stage", [("doc_vectors", "load-doc-vectors"),
+                                             ("query_vectors", "load-query-vectors")])
+    @pytest.mark.parametrize("body", ["", "\n  \n"], ids=["empty", "blank-lines"])
+    def test_vector_file_without_records_stops_at_its_load_stage(self, tmp_path, capsys, name, stage, body):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(PIPELINE_FIXTURE, inputs)
+        (inputs / f"{name}.jsonl").write_text(body)
+        raw = json.loads((inputs / "config.json").read_text())
+        raw["paths"]["output_dir"] = str(tmp_path / "out")
+        (inputs / "config.json").write_text(json.dumps(raw))
+        assert main(["--config", str(inputs / "config.json"), "mine"]) == 2
+        err = capsys.readouterr().err
+        assert f"stage '{stage}': {inputs / name}.jsonl: no vector records" in err
+
     def test_lenient_config_mines_past_a_missing_score(self, tmp_path):
         trimmed = tmp_path / "inputs"
         shutil.copytree(PIPELINE_FIXTURE, trimmed)
