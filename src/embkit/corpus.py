@@ -74,8 +74,12 @@ def load_corpus(path) -> Corpus:
     qrels pointing at the overwritten document.  Text must be non-empty
     after trimming.
     """
+    return jsonl.load(path, _read_corpus)
+
+
+def _read_corpus(path, records: jsonl.Records) -> Corpus:
     documents: dict[str, Document] = {}
-    for lineno, record in jsonl.iter_records(path):
+    for lineno, record in records:
         doc_id = jsonl.string(record, "id", path, lineno, non_empty=True)
         text = jsonl.string(record, "text", path, lineno)
         if not text.strip():
@@ -88,8 +92,12 @@ def load_corpus(path) -> Corpus:
 
 def load_queries(path) -> dict[str, Query]:
     """Load a JSONL query set of {"id", "text", "task"} records."""
+    return jsonl.load(path, _read_queries)
+
+
+def _read_queries(path, records: jsonl.Records) -> dict[str, Query]:
     queries: dict[str, Query] = {}
-    for lineno, record in jsonl.iter_records(path):
+    for lineno, record in records:
         qid = jsonl.string(record, "id", path, lineno, non_empty=True)
         text = jsonl.string(record, "text", path, lineno, non_empty=True)
         task = jsonl.string(record, "task", path, lineno, non_empty=True)
@@ -101,9 +109,13 @@ def load_queries(path) -> dict[str, Query]:
 
 def load_qrels(path) -> list[Qrel]:
     """Load relevance judgments {"query_id", "doc_id", "label"} with label >= 1."""
+    return jsonl.load(path, _read_qrels)
+
+
+def _read_qrels(path, records: jsonl.Records) -> list[Qrel]:
     qrels: list[Qrel] = []
     seen: set[tuple[str, str]] = set()
-    for lineno, record in jsonl.iter_records(path):
+    for lineno, record in records:
         qid = jsonl.string(record, "query_id", path, lineno, non_empty=True)
         did = jsonl.string(record, "doc_id", path, lineno, non_empty=True)
         label = jsonl.require(record, "label", path, lineno)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import jsonl
-from .errors import EmbkitError, RecordError, ValidationError
+from .errors import RecordError, ValidationError
 from .ranking import CHANNEL_SEMANTIC, RankedList, top_n
 
 
@@ -81,18 +81,19 @@ def load_vectors(path) -> VectorStore:
     over all of it.  If any check fails, the file is read again through
     `add`, record by record, so the error is the one `add` gives.
     """
-    try:
-        store = _read_vectors(path, VectorStore._append)
-        if np.isfinite(store.matrix).all():
-            return store
-    except (EmbkitError, OverflowError):
-        pass
-    return _read_vectors(path, VectorStore.add)
+    return jsonl.load(path, _read_fast, lambda path, records: _read_vectors(path, records, VectorStore.add))
 
 
-def _read_vectors(path, add) -> VectorStore:
+def _read_fast(path, records: jsonl.Records) -> VectorStore:
+    store = _read_vectors(path, records, VectorStore._append)
+    if not np.isfinite(store.matrix).all():
+        raise ValidationError(f"{path}: a vector has a non-finite component")
+    return store
+
+
+def _read_vectors(path, records: jsonl.Records, add) -> VectorStore:
     store = VectorStore()
-    for lineno, record in jsonl.iter_records(path):
+    for lineno, record in records:
         vec_id = jsonl.string(record, "id", path, lineno, non_empty=True)
         raw = jsonl.require(record, "vector", path, lineno)
         # type() is exact, so bool (an int subclass) is rejected too.

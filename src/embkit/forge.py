@@ -11,7 +11,7 @@ marker, so an encoder can pool the final-token representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import jsonl
 from .corpus import Corpus, Query
@@ -119,13 +119,10 @@ def convert_nli(
     records: Iterable[NliRecord],
     high: float = DEFAULT_HIGH_SIMILARITY,
     low: float = DEFAULT_LOW_SIMILARITY,
-    scorer: Callable[[str, str], float] | None = None,
 ) -> list[StsRecord]:
     """Map NLI pairs to similarity pairs: entailment -> high, contradiction -> low.
 
-    Neutral pairs are discarded; input order is preserved for the rest.  An
-    optional scorer replaces the constant anchors with a per-pair soft
-    similarity, which must land in [0, 1].
+    Neutral pairs are discarded; input order is preserved for the rest.
     """
     if not (0.0 <= low < high <= 1.0):
         raise ValidationError(f"need 0 <= low < high <= 1, got low={low}, high={high}")
@@ -135,14 +132,7 @@ def convert_nli(
             continue
         if record.label not in NLI_LABELS:
             raise ValidationError(f"record {index}: unknown NLI label {record.label!r}")
-        if scorer is not None:
-            similarity = float(scorer(record.premise, record.hypothesis))
-            if not 0.0 <= similarity <= 1.0:
-                raise ValidationError(
-                    f"record {index}: scorer returned {similarity}, expected [0, 1]"
-                )
-        else:
-            similarity = high if record.label == "entailment" else low
+        similarity = high if record.label == "entailment" else low
         converted.append(
             StsRecord(sentence_a=record.premise, sentence_b=record.hypothesis, similarity=similarity)
         )

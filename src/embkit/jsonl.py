@@ -5,14 +5,28 @@ per line, streamable and diff-friendly.  Every input, the config and every
 reranker reply is read through `parse`, and a loader checks a record's
 fields with `require`, `string`, `as_string` and `number`, so a bad line
 fails as a RecordError naming its file, line and field whatever its bytes are.
+
+The inputs of `mine` are large, so their loaders go through `load`: it
+parses with orjson first, and reads the file again through `parse` only
+when that fails, so every value and every error is still the one `json`
+gives.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
-from .errors import RecordError, is_number
+import orjson
+
+from .errors import EmbkitError, RecordError, is_number
+
+T = TypeVar("T")
+Records = Iterator[tuple[int, dict]]
+
+# `json` decodes nesting this deep whatever the caller's stack depth; orjson
+# decodes any depth, so a line that may nest deeper is left to `json`.
+MAX_OPEN = 200
 
 # json.dumps builds a new encoder on every call that passes options.
 _ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(", ", ": "))
@@ -30,7 +44,7 @@ def parse(data: bytes) -> Any:
         raise ValueError("nested too deeply") from exc
 
 
-def iter_records(path) -> Iterator[tuple[int, dict]]:
+def iter_records(path) -> Records:
     """Yield (lineno, record) for each non-blank line of a JSONL file.
 
     Lines end at \\n, \\r or \\r\\n.  Raises RecordError with the 1-based line
@@ -48,6 +62,44 @@ def iter_records(path) -> Iterator[tuple[int, dict]]:
             if not isinstance(record, dict):
                 raise RecordError(path, lineno, "record is not a JSON object")
             yield lineno, record
+
+
+def iter_orjson(path) -> Records:
+    """`iter_records` parsed by orjson, or ValueError on a line it cannot vouch for.
+
+    Lines end at \\n alone, so a line holding a \\r raises, as do a line
+    that opens MAX_OPEN arrays and objects or more, one that orjson rejects
+    (NaN, a lone surrogate, bytes that are not UTF-8, a number beyond float
+    range) and one whose value is not an object.  orjson's values are
+    `json`'s, except that an integer beyond 64 bits comes back as a float.
+    """
+    with open(path, "rb") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if b"\r" in line:
+                raise ValueError(f"line {lineno} holds a carriage return")
+            if line.isspace():
+                continue
+            if line.count(b"[") + line.count(b"{") >= MAX_OPEN:
+                raise ValueError(f"line {lineno} may nest deeper than json decodes")
+            record = orjson.loads(line)
+            if type(record) is not dict:
+                raise ValueError(f"line {lineno} is not a JSON object")
+            yield lineno, record
+
+
+def load(path, build: Callable[[Any, Records], T], exact: Callable[[Any, Records], T] | None = None) -> T:
+    """build(path, records) over the records `iter_orjson` reads from path.
+
+    If that raises EmbkitError, ValueError or OverflowError, the result is
+    built again by `exact`, or by `build` if there is none, from
+    `iter_records`: every value and every error is then the one `json` gives.
+    A build must read numbers through `float()`, or reject a float where it
+    needs an int, so that orjson's floats for big integers cannot change it.
+    """
+    try:
+        return build(path, iter_orjson(path))
+    except (EmbkitError, ValueError, OverflowError):
+        return (exact or build)(path, iter_records(path))
 
 
 def require(record: dict, field: str, path, lineno) -> Any:

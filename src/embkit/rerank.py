@@ -71,9 +71,13 @@ class ScoreSet:
 
 def load_scores(path) -> ScoreSet:
     """Load {"query_id", "doc_id", "score"} records; duplicates are an error."""
+    return jsonl.load(path, _read_scores)
+
+
+def _read_scores(path, records: jsonl.Records) -> ScoreSet:
     scores = ScoreSet()
     stored = scores._scores
-    for lineno, record in jsonl.iter_records(path):
+    for lineno, record in records:
         qid = jsonl.string(record, "query_id", path, lineno)
         did = jsonl.string(record, "doc_id", path, lineno)
         score = jsonl.number(jsonl.require(record, "score", path, lineno), "score", path, lineno)

@@ -65,15 +65,6 @@ class TestConvertNli:
         with pytest.raises(ValidationError):
             convert_nli([], high=1.5, low=0.0)
 
-    def test_scorer_overrides_anchors(self):
-        out = convert_nli([nli("entailment"), nli("contradiction")],
-                          scorer=lambda a, b: 0.42)
-        assert [r.similarity for r in out] == [0.42, 0.42]
-
-    def test_scorer_out_of_range_rejected(self):
-        with pytest.raises(ValidationError, match="expected \\[0, 1\\]"):
-            convert_nli([nli("entailment")], scorer=lambda a, b: 7.0)
-
     def test_load_nli_validates_labels(self, tmp_path):
         path = tmp_path / "nli.jsonl"
         path.write_text(

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from embkit import pipeline, rerank
+from embkit import jsonl, pipeline, rerank
 from embkit.cli import build_parser, main
 from embkit.errors import PipelineStageError, ValidationError
 from embkit.forge import load_training_records
@@ -264,6 +264,23 @@ class TestRunMine:
             pipeline.TEACHER_SCORES_FILE: "516184ddbca22f17382f0cf9e2ae7397f3e030eca05da1dbbca590da6f526499",
             pipeline.RERANKER_SCORES_FILE: "af77084026f212cb22ede0ebfc5ee7bf343bcf514dca9de1efadaf99b4db51ef",
         }
+
+    def test_fixture_inputs_load_without_iter_records(self, tmp_path, monkeypatch):
+        """The orjson reader serves every input of the fixture, so a load that
+        fell back to `iter_records` without need would show here."""
+        config = fixture_config(tmp_path)
+        expected = pipeline.load_inputs(config)
+
+        def refuse(path):
+            raise AssertionError(f"{path} was read by iter_records")
+
+        monkeypatch.setattr(jsonl, "iter_records", refuse)
+        inputs = pipeline.load_inputs(config)
+        assert (inputs.corpus, inputs.queries, inputs.qrels) == (expected.corpus, expected.queries, expected.qrels)
+        for got, want in [(inputs.doc_vectors, expected.doc_vectors), (inputs.query_vectors, expected.query_vectors)]:
+            assert got.ids == want.ids and got.matrix.tobytes() == want.matrix.tobytes()
+        assert inputs.gateway.scores.items() == expected.gateway.scores.items()
+        assert len(inputs.gateway.scores) > 0
 
     def test_reranker_mode_never_mines_a_co_positive(self, tmp_path):
         # q1 has qrels d1 and d2.  In reranker mode d2 scores 8.4, within
