@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import urllib.parse
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -290,8 +291,8 @@ def score_query(config: PipelineConfig, inputs: PipelineInputs, query: corpus_mo
     """Rerank and fuse one retrieved query into a teacher score set.
 
     The pool's scores come from the gateway's cache, which
-    `score_all_queries` fills beforehand; a pair still missing fails the
-    query in strict mode and is dropped otherwise.
+    `score_all_queries` has filled for this query; a pair still missing
+    fails the query in strict mode and is dropped otherwise.
     """
     strict = bool(config["strict"])
 
@@ -311,22 +312,47 @@ def score_query(config: PipelineConfig, inputs: PipelineInputs, query: corpus_mo
     return _stage("fuse", query.id, fusion.build_teacher_scores, query, lex, sem, rer, float(config["rrf_k"]))
 
 
-def score_all_queries(config: PipelineConfig, inputs: PipelineInputs) -> dict[str, fusion.TeacherScoreSet]:
-    """Teacher score sets for every query, keyed by query id.
+def score_all_queries(config: PipelineConfig, inputs: PipelineInputs
+                      ) -> tuple[dict[str, fusion.TeacherScoreSet], dict[str, str]]:
+    """Teacher score sets for every query, and their `reranker_scores.jsonl` lines, keyed by query id.
 
-    Every query is retrieved first.  Then every pool pair missing from the
-    gateway's cache is fetched in one pass of full batches (a wire failure
-    names stage `rerank` and no query), and each query is reranked and
-    fused from the filled cache.
+    Every query is retrieved first, so a retrieval error costs no reranker
+    call.  Then every pool pair missing from the gateway's cache is fetched
+    in one pass of full batches, and each query is reranked, fused and its
+    lines rendered, in query order, as soon as its pairs are answered,
+    while the rest of the pass is still in flight.  A wire failure names
+    stage `rerank` and no query; it is raised in place of the failure of a
+    query fused before it, which waits for the end of the pass.
     """
     positives_by_query = inputs.positives_by_query()
-    queries = list(inputs.queries.values())
-    retrieved = [retrieve_query(config, inputs, query, positives_by_query.get(query.id, []))
-                 for query in queries]
-    _stage("rerank", None, inputs.gateway.prefetch,
-           [(query.id, query.text, docs) for query, (_, _, docs) in zip(queries, retrieved)])
-    return {query.id: score_query(config, inputs, query, lex, sem, docs)
-            for query, (lex, sem, docs) in zip(queries, retrieved)}
+    retrieved = {query.id: retrieve_query(config, inputs, query, positives_by_query.get(query.id, []))
+                 for query in inputs.queries.values()}
+
+    def filled():
+        try:
+            yield from inputs.gateway.prefetch(
+                [(query.id, query.text, retrieved[query.id][2]) for query in inputs.queries.values()])
+        except EmbkitError as exc:
+            raise PipelineStageError("rerank", None, exc) from exc
+
+    teacher_sets: dict[str, fusion.TeacherScoreSet] = {}
+    lines: dict[str, str] = {}
+    failure: PipelineStageError | None = None
+    with closing(filled()) as ready:
+        for query_id, _, _ in ready:
+            if failure is not None:
+                continue
+            try:
+                teacher = score_query(config, inputs, inputs.queries[query_id], *retrieved[query_id])
+            except PipelineStageError as exc:
+                failure = exc
+                continue
+            teacher_sets[query_id] = teacher
+            lines[query_id] = rerank.score_lines(
+                (query_id, doc_id, score) for doc_id, score in sorted(teacher.reranker().items()))
+    if failure is not None:
+        raise failure
+    return teacher_sets, lines
 
 
 def run_mine(config: PipelineConfig) -> dict:
@@ -351,7 +377,7 @@ def run_mine(config: PipelineConfig) -> dict:
             raise PipelineStageError(
                 "mine", qrel.query_id, ValidationError(f"qrel references unknown query '{qrel.query_id}'")
             )
-    teacher_sets = score_all_queries(config, inputs)
+    teacher_sets, reranker_lines = score_all_queries(config, inputs)
     mining_config = config.mining_config()
     score_source = config["score_source"]
     positives_by_query = inputs.positives_by_query()
@@ -378,14 +404,12 @@ def run_mine(config: PipelineConfig) -> dict:
         fusion.save_teacher_scores(
             temp[TEACHER_SCORES_FILE], [teacher_sets[qid] for qid in sorted(teacher_sets)]
         )
-        rerank.save_scores(temp[RERANKER_SCORES_FILE], (
-            (qid, doc_id, score)
-            for qid in sorted(teacher_sets)
-            for doc_id, score in sorted(teacher_sets[qid].reranker().items())
-        ))
+        with open(temp[RERANKER_SCORES_FILE], "w", encoding="utf-8") as handle:
+            handle.writelines(reranker_lines[qid] for qid in sorted(reranker_lines))
 
         manifest = {
             "config_hash": config.config_hash(),
+            "settings": copy.deepcopy(config.settings),
             "inputs": {
                 key: _digest_file(config.path(key))
                 for key in (*_INPUT_PATH_KEYS, "reranker_scores")

@@ -19,25 +19,33 @@ from __future__ import annotations
 
 import http.client
 import json
+import json.encoder
 import math
+import queue
 import threading
 import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, Sequence
+from contextlib import closing
+from typing import Iterable, Iterator, Sequence
 
 from . import jsonl
 from .errors import RecordError, RerankProtocolError, RerankTransportError, ValidationError, is_integer, is_number
 
 BATCH_SIZE = 32  # pairs per POST until a 413 declares a lower limit
-# Chunks of one `request_scores` call posted at once.  No more than 6: Linux
+# Chunks of one client pass posted at once.  No more than 6: Linux
 # queues at most 6 unaccepted connects on a socket listening with Python
 # socketserver's backlog of 5, and may drop the SYN of a 7th, resent after 1 s.
 MAX_IN_FLIGHT = 6
 TIMEOUT = 10.0  # seconds one exchange may take
 RETRIES = 2  # extra attempts after a failed exchange
 RETRY_WAIT = 0.05  # seconds before each extra attempt
+
+# How `jsonl.dumps` writes a string: no ASCII escapes, the same as json.dumps(ensure_ascii=False).
+_string = json.encoder.encode_basestring
+
+ScoreRequest = tuple[str, str, Iterable[tuple[str, str]]]  # (query_id, query_text, [(doc_id, doc_text), ...])
 
 
 class ScoreSet:
@@ -88,9 +96,19 @@ def _read_scores(path, records: jsonl.Records) -> ScoreSet:
     return scores
 
 
-def save_scores(path, rows: Iterable[tuple[str, str, float]]) -> int:
+def score_lines(rows: Iterable[tuple[str, str, float]]) -> str:
+    """(query_id, doc_id, score) rows as lines of the file `load_scores` reads, in the given order.
+
+    Each line is what `jsonl.dumps` writes for the record {"query_id",
+    "doc_id", "score"} with a float score, built without a dict per row.
+    """
+    return "".join([f'{{"query_id": {_string(q)}, "doc_id": {_string(d)}, "score": {s!r}}}\n' for q, d, s in rows])
+
+
+def save_scores(path, rows: Iterable[tuple[str, str, float]]) -> None:
     """Write (query_id, doc_id, score) rows in the given order, in the format `load_scores` reads."""
-    return jsonl.write_records(path, ({"query_id": q, "doc_id": d, "score": s} for q, d, s in rows))
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(score_lines(rows))
 
 
 class RerankClient:
@@ -103,8 +121,9 @@ class RerankClient:
     The cap is 6 because an endpoint served by Python's http.server (listen
     backlog 5) has room for at most 6 connects that it has not yet accepted
     on Linux; a client with more of them open can have a SYN dropped, which
-    costs a 1 s resend.  `upstream_calls` counts the replies that passed
-    validation.
+    costs a 1 s resend.  `answered` hands each chunk back as it lands, and
+    `request_scores` waits for all of them.  `upstream_calls` counts the
+    replies that passed validation.
     """
 
     def __init__(self, endpoint: str):
@@ -115,26 +134,51 @@ class RerankClient:
         self._lock = threading.Lock()
 
     def request_scores(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
-        """Score (query text, doc text) pairs, order-aligned with the input."""
+        """Score (query text, doc text) pairs, order-aligned with the input.
+
+        Waits until every chunk of the call is answered: it reads `answered`
+        to the end.
+        """
         keys = [(q, d) for q, d in pairs]
-        with self._lock:
-            missing = list(dict.fromkeys(key for key in keys if key not in self._memo))
-        if missing:
-            fetched = self._fetch(missing)
-            with self._lock:
-                self._memo.update(zip(missing, fetched))
+        for _ in self.answered(keys):
+            pass
         return [self._memo[key] for key in keys]
 
-    def _fetch(self, keys: list[tuple[str, str]]) -> list[float]:
-        """Scores for keys, posted by up to MAX_IN_FLIGHT workers.
+    def answered(self, keys: Iterable[tuple[str, str]]) -> Iterator[dict[tuple[str, str], float]]:
+        """Scores of (query text, doc text) keys, a batch at a time as they are answered.
 
-        The first chunks are cut before any is posted; after that a worker
-        cuts its next chunk at the `batch_size` of that moment, so a limit
-        learned from a 413 applies to every chunk not yet cut.  Once a chunk
-        fails no new chunk is cut, and the first error is raised.
+        Keys already in the memo come first, as one batch; the others are
+        posted once each, in order of first appearance, and each chunk is
+        yielded in the caller's thread as soon as its reply lands.
+        """
+        known: dict[tuple[str, str], float] = {}
+        missing: dict[tuple[str, str], None] = {}
+        with self._lock:
+            for key in keys:
+                if key in self._memo:
+                    known[key] = self._memo[key]
+                else:
+                    missing[key] = None
+        if known:
+            yield known
+        if missing:
+            yield from self._fetch(list(missing))
+
+    def _fetch(self, keys: list[tuple[str, str]]) -> Iterator[dict[tuple[str, str], float]]:
+        """Scores of keys by chunk, posted by up to MAX_IN_FLIGHT workers.
+
+        The workers put each answered chunk into the memo and hand it back,
+        and this generator yields it in the caller's thread; they go on
+        posting while the caller works between yields.  The first chunks are
+        cut before any is posted; after that a worker cuts its next chunk at
+        the `batch_size` of that moment, so a limit learned from a 413
+        applies to every chunk not yet cut.  Once a chunk fails, or the
+        caller stops reading, no new chunk is cut.  The first error is
+        raised after every answered chunk has been yielded, and no worker
+        outlives the generator.
         """
         lock = threading.Lock()
-        scores: list[float | None] = [None] * len(keys)
+        landed: queue.SimpleQueue[dict[tuple[str, str], float] | None] = queue.SimpleQueue()
         errors: list[Exception] = []
         cursor = 0
 
@@ -146,24 +190,37 @@ class RerankClient:
             return start, cursor
 
         def work(chunk: tuple[int, int] | None) -> None:
-            while chunk is not None:
-                start, end = chunk
-                try:
-                    scores[start:end] = self._post_chunk(keys[start:end])
-                except Exception as exc:
+            try:
+                while chunk is not None:
+                    start, end = chunk
+                    try:
+                        scores = dict(zip(keys[start:end], self._post_chunk(keys[start:end])))
+                    except Exception as exc:
+                        with lock:
+                            errors.append(exc)
+                        return
+                    with self._lock:
+                        self._memo.update(scores)
+                    landed.put(scores)
                     with lock:
-                        errors.append(exc)
-                    return
-                with lock:
-                    chunk = cut()
+                        chunk = cut()
+            finally:
+                landed.put(None)  # this worker is done
 
         first = [cut() for _ in range(min(MAX_IN_FLIGHT, -(-len(keys) // self.batch_size)))]
         with ThreadPoolExecutor(max_workers=len(first)) as pool:
-            for future in [pool.submit(work, chunk) for chunk in first]:
-                future.result()
+            futures = [pool.submit(work, chunk) for chunk in first]
+            try:
+                for _ in futures:  # until every worker has said it is done
+                    while (scores := landed.get()) is not None:
+                        yield scores
+            finally:
+                with lock:
+                    cursor = len(keys)  # a caller that stops reading cuts no more chunks
+        for future in futures:
+            future.result()
         if errors:
             raise errors[0]
-        return scores
 
     def _post_chunk(self, chunk: list[tuple[str, str]]) -> list[float]:
         """Scores for one chunk from the first reply below 500.
@@ -254,7 +311,8 @@ class RerankGateway:
     Lookups hit the cache first; misses go upstream (when a client is
     configured) and the answers are merged back, so repeated requests for
     the same pair never cause a second network call.  `prefetch` fills the
-    cache for many queries at once, so their misses share full batches.
+    cache for many queries at once, so their misses share full batches, and
+    hands each query back as soon as its pairs are in.
     """
 
     def __init__(self, scores: ScoreSet | None = None, client: RerankClient | None = None):
@@ -269,22 +327,41 @@ class RerankGateway:
         decides whether that is fatal.
         """
         docs = list(docs)
-        self.prefetch([(query_id, query_text, docs)])
+        for _ in self.prefetch([(query_id, query_text, docs)]):
+            pass
         return {doc_id: self.scores.score(query_id, doc_id) for doc_id, _ in docs}
 
-    def prefetch(self, requests: Iterable[tuple[str, str, Iterable[tuple[str, str]]]]) -> None:
-        """Fetch every uncached pair of many queries through one client call.
+    def prefetch(self, requests: Iterable[ScoreRequest]) -> Iterator[ScoreRequest]:
+        """Fill the cache for many queries through one client pass, yielding
+        each request, in the order given, once all its pairs are in the cache.
 
         Each request is `(query_id, query_text, docs)` as `ensure_scores`
-        takes it.  Without a wire client this does nothing.
+        takes it.  The uncached pairs of every request are posted in one
+        client pass, in request order, so they share full batches; the pass
+        goes on in the background while the caller works on the requests
+        yielded so far.  Requests are released in order as each chunk is
+        answered.  Without a wire client each request is yielded as is.
         """
-        if self.client is None:
+        requests = list(requests)
+        # (query text, doc text) -> the (request index, query id, doc id) awaiting its score
+        waiting: dict[tuple[str, str], list[tuple[int, str, str]]] = {}
+        pending = [0] * len(requests)
+        if self.client is not None:
+            for index, (query_id, query_text, docs) in enumerate(requests):
+                for doc_id, doc_text in docs:
+                    if (query_id, doc_id) not in self.scores:
+                        waiting.setdefault((query_text, doc_text), []).append((index, query_id, doc_id))
+                        pending[index] += 1
+        if not waiting:
+            yield from requests
             return
-        missing = [(query_id, doc_id, query_text, doc_text)
-                   for query_id, query_text, docs in requests
-                   for doc_id, doc_text in docs
-                   if (query_id, doc_id) not in self.scores]
-        if missing:
-            fetched = self.client.request_scores([(text, doc_text) for _, _, text, doc_text in missing])
-            for (query_id, doc_id, _, _), score in zip(missing, fetched):
-                self.scores.add(query_id, doc_id, score)
+        ready = 0
+        with closing(self.client.answered(list(waiting))) as batches:
+            for batch in batches:
+                for key, score in batch.items():
+                    for index, query_id, doc_id in waiting[key]:
+                        self.scores.add(query_id, doc_id, score)
+                        pending[index] -= 1
+                while ready < len(requests) and not pending[ready]:
+                    yield requests[ready]
+                    ready += 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -26,8 +27,8 @@ class _ScoringHandler(BaseHTTPRequestHandler):
         pairs = payload.get("pairs", [])
         with server.state_lock:
             server.calls += 1
-            fail = server.fail_next > 0
-            if fail:
+            fail = server.fail_next > 0 or (server.fail_from is not None and server.calls >= server.fail_from)
+            if server.fail_next > 0:
                 server.fail_next -= 1
         if server.reply is not None:
             self._reply(*server.reply)
@@ -38,9 +39,12 @@ class _ScoringHandler(BaseHTTPRequestHandler):
         if server.max_batch_size and len(pairs) > server.max_batch_size:
             self._reply(413, {"error": "batch too large", "max_batch_size": server.max_batch_size})
             return
+        time.sleep(server.delay)
         scores = [server.score_fn(p["query"], p["doc"]) for p in pairs]
         if server.short_response:
             scores = scores[:-1]
+        with server.state_lock:
+            server.answered += 1  # before the reply, so a client that has it sees the count
         self._reply(200, {"scores": scores})
 
     def _reply(self, code: int, obj: dict | bytes):
@@ -61,17 +65,24 @@ def default_score(query: str, doc: str) -> float:
 
 
 class ScoringServer:
-    """In-process reranker endpoint with failure and batch-limit knobs.
+    """In-process reranker endpoint with failure, latency and batch-limit knobs.
 
     Setting `httpd.reply` to `(status, body)` answers every request with it,
-    body being a JSON-serialisable object or raw bytes.
+    body being a JSON-serialisable object or raw bytes.  `delay` seconds
+    pass before each request is scored; from request number `fail_from` on
+    every request is answered 503.  `calls` counts the requests received,
+    `answered` the 200s sent.  Leaving the `with` block joins every thread
+    the server started.
     """
 
-    def __init__(self, score_fn=None, max_batch_size=None):
+    def __init__(self, score_fn=None, max_batch_size=None, delay=0.0, fail_from=None):
         self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), _ScoringHandler)
         self.httpd.score_fn = score_fn or default_score
         self.httpd.max_batch_size = max_batch_size
+        self.httpd.delay = delay
+        self.httpd.fail_from = fail_from
         self.httpd.calls = 0
+        self.httpd.answered = 0
         self.httpd.fail_next = 0
         self.httpd.short_response = False
         self.httpd.reply = None
@@ -84,7 +95,8 @@ class ScoringServer:
 
     def __exit__(self, *exc):
         self.httpd.shutdown()
-        self.httpd.server_close()
+        self.httpd.server_close()  # joins the request threads
+        self._thread.join(timeout=5.0)
 
     @property
     def endpoint(self) -> str:
@@ -94,6 +106,19 @@ class ScoringServer:
     @property
     def calls(self) -> int:
         return self.httpd.calls
+
+    @property
+    def answered(self) -> int:
+        return self.httpd.answered
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail a test that leaves running a thread that was not running before it."""
+    before = set(threading.enumerate())
+    yield
+    left = [thread.name for thread in threading.enumerate() if thread not in before]
+    assert not left, f"threads left running: {left}"
 
 
 @pytest.fixture

@@ -1,11 +1,14 @@
 """Config validation, end-to-end mining, determinism, and the CLI surface."""
 
 import argparse
+import hashlib
 import json
 import math
 import os
 import re
 import shutil
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from embkit import jsonl, pipeline, rerank
 from embkit.cli import build_parser, main
-from embkit.errors import PipelineStageError, ValidationError
+from embkit.errors import PipelineStageError, RerankTransportError, ValidationError
 from embkit.forge import load_training_records
 
 from conftest import FIXTURES, ScoringServer
@@ -439,6 +442,87 @@ class TestRunMine:
         assert scoring_server.calls >= 1
         records = load_training_records(tmp_path / "out" / pipeline.TRAINING_RECORDS_FILE)
         assert len(records) == 4
+
+
+    def test_manifest_names_the_settings_it_hashes(self, tmp_path):
+        config = fixture_config(tmp_path, rrf_k=70)
+        pipeline.run_mine(config)
+        written = json.loads((tmp_path / "out" / pipeline.MANIFEST_FILE).read_text(encoding="utf-8"))
+        assert written["settings"] == config.settings
+        canonical = json.dumps(written["settings"], sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == written["config_hash"]
+
+    def test_a_query_is_fused_before_the_wire_pass_ends(self, tmp_path, monkeypatch):
+        # 24 pairs in 12 chunks of 2, six in flight, so two rounds of replies:
+        # q1's 8 pairs are all in the first round.
+        monkeypatch.setattr(rerank, "BATCH_SIZE", 2)
+        answered_at_fuse = []
+        score_query = pipeline.score_query
+        with ScoringServer(max_batch_size=2, delay=0.05) as server:
+            def recording(config, inputs, query, *args):
+                answered_at_fuse.append(server.answered)
+                return score_query(config, inputs, query, *args)
+
+            monkeypatch.setattr(pipeline, "score_query", recording)
+            config = fixture_config(tmp_path)
+            config.paths["reranker_scores"] = None
+            config.paths["reranker_endpoint"] = server.endpoint
+            pipeline.run_mine(config)
+        assert server.calls == server.answered == 12
+        assert len(answered_at_fuse) == 3
+        assert answered_at_fuse[0] < server.answered
+
+    def test_wire_failure_mid_pass_names_rerank_after_queries_were_fused(self, tmp_path, monkeypatch):
+        pipeline.run_mine(fixture_config(tmp_path))
+        out = tmp_path / "out"
+        before = output_bytes(out)
+        # One pair per POST, six in flight, rounds 0.1 s apart.  Requests 1-18
+        # are answered and the 19th on (round 4) get a 503; the last answered
+        # one is held back 0.5 s, so its worker learns of the failure only
+        # after the other workers have failed.  q1's 8 pairs land in round 2.
+        monkeypatch.setattr(rerank, "BATCH_SIZE", 1)
+        monkeypatch.setattr(rerank, "RETRIES", 0)
+        lock = threading.Lock()
+        scored = 0
+        calls_after_last_answer = None
+
+        def score_fn(query, doc):
+            nonlocal scored, calls_after_last_answer
+            with lock:
+                scored += 1
+                last = scored == 18
+            if last:
+                time.sleep(0.5)
+                calls_after_last_answer = server.calls
+            return 1.0
+
+        # A scoring error of a query fused before the failure must not pre-empt it.
+        fused = []
+        build = pipeline.fusion.build_teacher_scores
+
+        def failing_build(query, *args):
+            fused.append((query.id, server.calls))
+            if query.id == "q1":
+                raise ValidationError("q1 does not fuse")
+            return build(query, *args)
+
+        monkeypatch.setattr(pipeline.fusion, "build_teacher_scores", failing_build)
+        with ScoringServer(score_fn=score_fn, delay=0.1, fail_from=19) as server:
+            config = fixture_config(tmp_path, rrf_k=70)
+            config.paths["reranker_scores"] = None
+            config.paths["reranker_endpoint"] = server.endpoint
+            with pytest.raises(PipelineStageError) as excinfo:
+                pipeline.run_mine(config)
+        assert (excinfo.value.stage, excinfo.value.query_id) == ("rerank", None)
+        assert isinstance(excinfo.value.cause, RerankTransportError)
+        # q1 was fused before any request was refused, and no other query after its error.
+        assert [query_id for query_id, _ in fused] == ["q1"]
+        assert fused[0][1] < 19
+        assert server.answered == 18
+        # No chunk was cut once a failure was known.
+        assert server.calls == calls_after_last_answer
+        assert output_bytes(out) == before
+        assert sorted(p.name for p in out.iterdir()) == sorted(before)
 
 
 class TestCli:

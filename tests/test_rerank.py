@@ -8,8 +8,9 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from embkit import rerank
+from embkit import jsonl, rerank
 from embkit.errors import RecordError, RerankProtocolError, RerankTransportError, ValidationError
 from embkit.rerank import RerankClient, RerankGateway, ScoreSet, load_scores, save_scores
 
@@ -86,6 +87,12 @@ class TestScoreFiles:
         reloaded = load_scores(path)
         assert sorted(reloaded.items()) == sorted(scores.items())
 
+
+@given(st.lists(st.tuples(st.text(), st.text(), st.floats(allow_nan=False, allow_infinity=False)), max_size=20))
+def test_score_lines_are_the_lines_jsonl_writes(rows):
+    # The reference is the record writer every other output goes through.
+    expected = "".join(jsonl.dumps({"query_id": q, "doc_id": d, "score": s}) + "\n" for q, d, s in rows)
+    assert rerank.score_lines(rows) == expected
 
 class TestWireProtocol:
     def test_two_pairs_two_scores_in_order(self, scoring_server):
@@ -368,6 +375,40 @@ class TestGateway:
         path = tmp_path / "cache.jsonl"
         save_scores(path, gateway.scores.items())
         assert sorted(load_scores(path).items()) == sorted(gateway.scores.items())
+
+    def test_prefetch_yields_each_request_in_order_once_its_pairs_are_cached(self, monkeypatch):
+        # One pair per POST, six in flight: 18 misses take three rounds of replies.
+        monkeypatch.setattr(rerank, "BATCH_SIZE", 1)
+        requests = [(f"q{i}", f"query {i}", [(f"d{j}", f"doc {j}") for j in range(6)]) for i in range(4)]
+        scores = ScoreSet()
+        for doc_id, _ in requests[0][2]:
+            scores.add("q0", doc_id, 1.0)
+        with ScoringServer(delay=0.05) as server:
+            gateway = RerankGateway(scores=scores, client=RerankClient(server.endpoint))
+            seen = []
+            for request in gateway.prefetch(requests):
+                query_id, query_text, docs = request
+                assert all(gateway.scores.score(query_id, doc_id) is not None for doc_id, _ in docs)
+                seen.append((request, server.answered))
+        assert [request for request, _ in seen] == requests
+        # The cached request is out with the first round of replies, the next before the last reply.
+        assert seen[0][1] <= rerank.MAX_IN_FLIGHT
+        assert seen[1][1] < server.answered == 18
+        assert gateway.scores.score("q3", "d5") == default_score("query 3", "doc 5")
+
+    def test_closing_prefetch_early_cuts_no_more_chunks(self, monkeypatch):
+        monkeypatch.setattr(rerank, "BATCH_SIZE", 1)
+        requests = [("q0", "query", [("d0", "doc 0")]),
+                    ("q1", "query", [(f"d{j}", f"doc {j}") for j in range(1, 60)])]
+        with ScoringServer(delay=0.05) as server:
+            gateway = RerankGateway(client=RerankClient(server.endpoint))
+            fill = gateway.prefetch(requests)
+            assert next(fill) == requests[0]
+            fill.close()
+            posted = server.calls
+            time.sleep(0.2)
+            assert server.calls == posted <= 2 * rerank.MAX_IN_FLIGHT
+            assert server.answered == posted
 
     def test_without_client_missing_stays_none(self):
         gateway = RerankGateway()
