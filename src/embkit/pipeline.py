@@ -16,7 +16,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import urllib.parse
 from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -187,9 +186,11 @@ def validate_paths(config: PipelineConfig) -> list[str]:
     endpoint = config.path("reranker_endpoint")
     if scores_path is None and not endpoint:
         errors.append("paths: need reranker_scores and/or reranker_endpoint")
-    if endpoint and not _is_http_url(endpoint):
-        errors.append(f"paths.reranker_endpoint: must be an http:// or https:// URL with a host "
-                      f"and a numeric port if it names one, got {endpoint!r}")
+    if endpoint:
+        try:
+            rerank.parse_endpoint(endpoint)
+        except ValidationError as exc:
+            errors.append(f"paths.reranker_endpoint: {exc}")
     output_dir = config.path("output_dir")
     if output_dir is None:
         errors.append("paths.output_dir: required")
@@ -199,15 +200,6 @@ def validate_paths(config: PipelineConfig) -> list[str]:
             errors.append(f"paths.output_dir: its {RERANKER_SCORES_FILE} is the input paths.reranker_scores, "
                           "which the run would replace")
     return errors
-
-
-def _is_http_url(text: str) -> bool:
-    try:
-        url = urllib.parse.urlsplit(text)
-        url.port  # raises ValueError for a port that is not a number in range
-    except ValueError:
-        return False
-    return url.scheme in ("http", "https") and bool(url.hostname)
 
 
 def _digest_file(path) -> str:

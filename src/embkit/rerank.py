@@ -6,7 +6,7 @@ one-exchange wire protocol:
 
     POST <endpoint>  {"pairs": [{"query": ..., "doc": ...}, ...]}
     200              {"scores": [...]}          same length, same order
-    413              {"max_batch_size": N}      client re-chunks and retries
+    413              {"max_batch_size": N}      client cuts the pairs again at N
     5xx                                         retried, like a reply cut short
 
 Every score handed out traces back to a file record or a wire response;
@@ -17,6 +17,8 @@ nothing here may assume a [0, 1] range.
 
 from __future__ import annotations
 
+import collections
+import functools
 import http.client
 import json
 import json.encoder
@@ -24,11 +26,10 @@ import math
 import queue
 import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import jsonl
 from .errors import RecordError, RerankProtocolError, RerankTransportError, ValidationError, is_integer, is_number
@@ -105,10 +106,23 @@ def score_lines(rows: Iterable[tuple[str, str, float]]) -> str:
     return "".join([f'{{"query_id": {_string(q)}, "doc_id": {_string(d)}, "score": {s!r}}}\n' for q, d, s in rows])
 
 
-def save_scores(path, rows: Iterable[tuple[str, str, float]]) -> None:
-    """Write (query_id, doc_id, score) rows in the given order, in the format `load_scores` reads."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(score_lines(rows))
+def parse_endpoint(url: str) -> tuple[Callable[..., http.client.HTTPConnection], str]:
+    """A connection opener for the host and port of an http:// or https:// URL, and its request target.
+
+    The target is the path, "/" if there is none, with the query string.
+    Raises ValidationError for another scheme, no host or a bad one, or a port that is not a number.
+    """
+    try:
+        parts = urllib.parse.urlsplit(url)
+        if parts.scheme in ("http", "https") and parts.hostname:
+            connection = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+            connect = functools.partial(connection, parts.hostname, parts.port)
+            connect()  # opens no socket, but refuses a host with control characters
+            return connect, (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    except (ValueError, http.client.InvalidURL):  # from urlsplit, from .port and from the connection
+        pass
+    raise ValidationError(f"must be an http:// or https:// URL with a host and a numeric port "
+                          f"if it names one, got {url!r}")
 
 
 class RerankClient:
@@ -121,13 +135,15 @@ class RerankClient:
     The cap is 6 because an endpoint served by Python's http.server (listen
     backlog 5) has room for at most 6 connects that it has not yet accepted
     on Linux; a client with more of them open can have a SYN dropped, which
-    costs a 1 s resend.  `answered` hands each chunk back as it lands, and
+    costs a 1 s resend.  Each chunk is one POST on a new connection straight
+    to the endpoint: proxy variables are ignored and a redirect is not
+    followed.  `answered` hands each chunk back as it lands, and
     `request_scores` waits for all of them.  `upstream_calls` counts the
     replies that passed validation.
     """
 
     def __init__(self, endpoint: str):
-        self.endpoint = endpoint
+        self._connect, self._target = parse_endpoint(endpoint)
         self.batch_size = BATCH_SIZE
         self.upstream_calls = 0
         self._memo: dict[tuple[str, str], float] = {}
@@ -170,40 +186,42 @@ class RerankClient:
         The workers put each answered chunk into the memo and hand it back,
         and this generator yields it in the caller's thread; they go on
         posting while the caller works between yields.  The first chunks are
-        cut before any is posted; after that a worker cuts its next chunk at
-        the `batch_size` of that moment, so a limit learned from a 413
-        applies to every chunk not yet cut.  Once a chunk fails, or the
-        caller stops reading, no new chunk is cut.  The first error is
-        raised after every answered chunk has been yielded, and no worker
-        outlives the generator.
+        cut before any is posted; after that a worker cuts its next chunk
+        from the front of the keys not yet cut, at the `batch_size` of that
+        moment.  A chunk refused with 413 puts its keys back at that front,
+        so they are cut again like the rest.  Once a chunk fails, or the
+        caller stops reading, no new chunk is cut.  The first error is raised
+        after every answered chunk has been yielded, and no worker outlives
+        the generator.
         """
         lock = threading.Lock()
         landed: queue.SimpleQueue[dict[tuple[str, str], float] | None] = queue.SimpleQueue()
         errors: list[Exception] = []
-        cursor = 0
+        uncut = collections.deque(keys)
+        stopped = False
 
-        def cut() -> tuple[int, int] | None:
-            nonlocal cursor
-            if errors or cursor >= len(keys):
+        def cut(refused: Sequence[tuple[str, str]] = ()) -> list[tuple[str, str]] | None:
+            uncut.extendleft(reversed(refused))
+            if errors or stopped or not uncut:
                 return None
-            start, cursor = cursor, min(cursor + self.batch_size, len(keys))
-            return start, cursor
+            return [uncut.popleft() for _ in range(min(self.batch_size, len(uncut)))]
 
-        def work(chunk: tuple[int, int] | None) -> None:
+        def work(chunk: list[tuple[str, str]] | None) -> None:
             try:
                 while chunk is not None:
-                    start, end = chunk
                     try:
-                        scores = dict(zip(keys[start:end], self._post_chunk(keys[start:end])))
+                        scores = self._post_chunk(chunk)
                     except Exception as exc:
                         with lock:
                             errors.append(exc)
                         return
-                    with self._lock:
-                        self._memo.update(scores)
-                    landed.put(scores)
+                    if scores is not None:
+                        batch = dict(zip(chunk, scores))
+                        with self._lock:
+                            self._memo.update(batch)
+                        landed.put(batch)
                     with lock:
-                        chunk = cut()
+                        chunk = cut(chunk if scores is None else ())
             finally:
                 landed.put(None)  # this worker is done
 
@@ -216,16 +234,16 @@ class RerankClient:
                         yield scores
             finally:
                 with lock:
-                    cursor = len(keys)  # a caller that stops reading cuts no more chunks
+                    stopped = True  # a caller that stops reading cuts no more chunks
         for future in futures:
             future.result()
         if errors:
             raise errors[0]
 
-    def _post_chunk(self, chunk: list[tuple[str, str]]) -> list[float]:
-        """Scores for one chunk from the first reply below 500.
+    def _post_chunk(self, chunk: list[tuple[str, str]]) -> list[float] | None:
+        """Scores for one chunk from the first reply below 500, or None if a 413 refused it.
 
-        A 200 is validated, a 413 re-splits the chunk at the server's declared
+        A 200 is validated, a 413 lowers `batch_size` to the server's declared
         limit, and any other status is a protocol error.
         """
         status, reply = self._post(chunk)
@@ -246,8 +264,7 @@ class RerankClient:
             raise RerankProtocolError(f"server rejected batch of {len(chunk)} but declares limit {limit}")
         with self._lock:
             self.batch_size = min(self.batch_size, limit)
-        return [score for start in range(0, len(chunk), limit)
-                for score in self._post_chunk(chunk[start:start + limit])]
+        return None
 
     def _post(self, chunk: list[tuple[str, str]]) -> tuple[int, bytes]:
         """Status and body of the first complete reply below 500.
@@ -255,35 +272,25 @@ class RerankClient:
         A failed exchange, a 5xx or anything short of a complete reply, is
         retried RETRIES times; then it is a RerankTransportError.
         """
-        body = json.dumps(
-            {"pairs": [{"query": q, "doc": d} for q, d in chunk]}
-        ).encode("utf-8")
-        request = urllib.request.Request(
-            self.endpoint, data=body, method="POST",
-            headers={"Content-Type": "application/json"},
-        )
+        body = json.dumps({"pairs": [{"query": q, "doc": d} for q, d in chunk]}).encode("utf-8")
         last_error: Exception | str | None = None
         for attempt in range(RETRIES + 1):
             if attempt:
                 time.sleep(RETRY_WAIT)
+            connection = self._connect(timeout=TIMEOUT)
             try:
-                status, reply = _exchange(request)
+                connection.request("POST", self._target, body, {"Content-Type": "application/json"})
+                response = connection.getresponse()
+                status, reply = response.status, response.read()
             except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
+            finally:
+                connection.close()
             if status < 500:
                 return status, reply
             last_error = f"HTTP {status}"
         raise RerankTransportError(f"endpoint unreachable after {RETRIES + 1} attempts: {last_error}")
-
-
-def _exchange(request: urllib.request.Request) -> tuple[int, bytes]:
-    """Status and complete body of one reply, whatever its status."""
-    try:
-        with urllib.request.urlopen(request, timeout=TIMEOUT) as response:
-            return response.status, response.read()
-    except urllib.error.HTTPError as exc:
-        return exc.code, exc.read()
 
 
 def _validate_response(reply: bytes, expected: int) -> list[float]:

@@ -27,6 +27,7 @@ class _ScoringHandler(BaseHTTPRequestHandler):
         pairs = payload.get("pairs", [])
         with server.state_lock:
             server.calls += 1
+            server.request_lines.append(self.requestline)
             fail = server.fail_next > 0 or (server.fail_from is not None and server.calls >= server.fail_from)
             if server.fail_next > 0:
                 server.fail_next -= 1
@@ -71,8 +72,9 @@ class ScoringServer:
     body being a JSON-serialisable object or raw bytes.  `delay` seconds
     pass before each request is scored; from request number `fail_from` on
     every request is answered 503.  `calls` counts the requests received,
-    `answered` the 200s sent.  Leaving the `with` block joins every thread
-    the server started.
+    `request_lines` holds their request lines and `answered` counts the
+    200s sent.  Leaving the `with` block joins every thread the server
+    started.
     """
 
     def __init__(self, score_fn=None, max_batch_size=None, delay=0.0, fail_from=None):
@@ -82,6 +84,7 @@ class ScoringServer:
         self.httpd.delay = delay
         self.httpd.fail_from = fail_from
         self.httpd.calls = 0
+        self.httpd.request_lines = []
         self.httpd.answered = 0
         self.httpd.fail_next = 0
         self.httpd.short_response = False
@@ -110,6 +113,10 @@ class ScoringServer:
     @property
     def answered(self) -> int:
         return self.httpd.answered
+
+    @property
+    def request_lines(self) -> list[str]:
+        return self.httpd.request_lines
 
 
 @pytest.fixture(autouse=True)

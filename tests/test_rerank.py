@@ -2,6 +2,7 @@
 
 import re
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -12,12 +13,13 @@ from hypothesis import given, strategies as st
 
 from embkit import jsonl, rerank
 from embkit.errors import RecordError, RerankProtocolError, RerankTransportError, ValidationError
-from embkit.rerank import RerankClient, RerankGateway, ScoreSet, load_scores, save_scores
+from embkit.rerank import RerankClient, RerankGateway, ScoreSet, load_scores
 
 from conftest import ScoringServer, default_score
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_lines(path, lines):
@@ -83,7 +85,7 @@ class TestScoreFiles:
         scores.add("q1", "d1", 0.123456789)
         scores.add("q2", "d9", -17.25)
         path = tmp_path / "cache.jsonl"
-        save_scores(path, scores.items())
+        path.write_text(rerank.score_lines(scores.items()), encoding="utf-8")
         reloaded = load_scores(path)
         assert sorted(reloaded.items()) == sorted(scores.items())
 
@@ -128,6 +130,42 @@ class TestWireProtocol:
             assert server.calls == 1
             assert client.upstream_calls == 0
 
+    def test_redirect_is_not_followed(self):
+        with ScoringServer() as target:
+            redirect = (f"HTTP/1.1 302 Found\r\nLocation: {target.endpoint}\r\n"
+                        "Content-Length: 0\r\n\r\n").encode("ascii")
+            with RawReplyServer(redirect) as server:
+                client = RerankClient(server.endpoint)
+                with pytest.raises(RerankProtocolError, match="HTTP 302"):
+                    client.request_scores([("a", "b")])
+                assert server.calls == 1
+            assert target.calls == 0
+
+    def test_proxy_variables_are_ignored(self, scoring_server, monkeypatch):
+        with socket.create_server(("127.0.0.1", 0)) as closed:
+            proxy = f"http://127.0.0.1:{closed.getsockname()[1]}"
+        for name in ("http_proxy", "HTTP_PROXY"):
+            monkeypatch.setenv(name, proxy)
+        for name in ("no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("PYTHONPATH", str(SRC))
+        # A new process, as `embkit mine` is: it has read no proxy settings before these.
+        script = ("import sys; from embkit.rerank import RerankClient; "
+                  "print(RerankClient(sys.argv[1]).request_scores([('a', 'b')])[0])")
+        done = subprocess.run([sys.executable, "-c", script, scoring_server.endpoint],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) == default_score("a", "b")
+
+    def test_host_with_a_space_is_rejected_up_front(self):
+        with pytest.raises(ValidationError, match="with a host"):
+            RerankClient("http://a b:80/score")
+
+    def test_query_string_is_part_of_the_request_target(self, scoring_server):
+        client = RerankClient(scoring_server.endpoint + "?model=m")
+        client.request_scores([("a", "b")])
+        assert [line.split()[1] for line in scoring_server.request_lines] == ["/score?model=m"]
+
     def test_score_beyond_float_range_is_protocol_error(self):
         with ScoringServer(score_fn=lambda query, doc: 10 ** 400) as server:
             client = RerankClient(server.endpoint)
@@ -169,6 +207,17 @@ class TestWireProtocol:
             # One oversized probe, then ceil(5 / 2) = 3 chunks.
             assert server.calls == 4
             assert client.batch_size == 2
+
+    def test_refused_pairs_are_cut_again_with_the_rest(self, monkeypatch):
+        monkeypatch.setattr(rerank, "BATCH_SIZE", 8)
+        with ScoringServer(max_batch_size=6) as server:
+            client = RerankClient(server.endpoint)
+            pairs = [(f"q{i}", f"d{i}") for i in range(120)]
+            assert client.request_scores(pairs) == [default_score(q, d) for q, d in pairs]
+            # The six 8-pair chunks cut before the first post are refused; then
+            # all 120 pairs are cut at the declared 6, with no 2-pair remainders.
+            assert server.calls == 6 + 20
+            assert server.answered == client.upstream_calls == 20
 
     def test_duplicates_within_one_call_collapse(self, scoring_server):
         client = RerankClient(scoring_server.endpoint)
@@ -373,7 +422,7 @@ class TestGateway:
         assert scoring_server.calls == 1
         # And the merged cache round-trips through a file.
         path = tmp_path / "cache.jsonl"
-        save_scores(path, gateway.scores.items())
+        path.write_text(rerank.score_lines(gateway.scores.items()), encoding="utf-8")
         assert sorted(load_scores(path).items()) == sorted(gateway.scores.items())
 
     def test_prefetch_yields_each_request_in_order_once_its_pairs_are_cached(self, monkeypatch):
