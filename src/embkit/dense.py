@@ -1,7 +1,7 @@
 """Semantic search channel: fixed-dimension vectors scored by dot product.
 
-Search is an exact full scan at double precision; there is no approximate
-structure, so every downstream number is reproducible bit-for-bit.
+Search is an exact full scan at double precision, but scores are not bit-for-bit
+the same on every CPU: OpenBLAS picks `np.vecdot`'s kernel by CPU (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -16,15 +16,15 @@ from .ranking import CHANNEL_SEMANTIC, RankedList, top_n
 class VectorStore:
     """Vectors as the rows of one float64 matrix, in the order they were added.
 
-    `add` checks each vector before it stores it.  `load_vectors` writes rows
-    straight into the matrix and checks finiteness once, over all of it.
+    `add` checks each vector before it stores it, and `VectorStore(ids, matrix)` checks nothing.
+    `load_vectors` writes rows straight into the matrix and checks finiteness once, over all of it.
     """
 
-    def __init__(self):
-        self.dim = 0
-        self.ids: list[str] = []
-        self._rows: dict[str, int] = {}
-        self._buffer = np.empty((0, 0))
+    def __init__(self, ids: list[str] | None = None, matrix: np.ndarray | None = None):
+        self.ids: list[str] = list(ids or ())
+        self._rows: dict[str, int] = dict(zip(self.ids, range(len(self.ids))))
+        self._buffer = np.empty((0, 0)) if matrix is None else matrix
+        self.dim = self._buffer.shape[1]
 
     def __len__(self) -> int:
         return len(self.ids)

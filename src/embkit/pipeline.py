@@ -16,9 +16,14 @@ import dataclasses
 import hashlib
 import json
 import os
-from contextlib import closing
+import pickle
+import signal
+import threading
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from . import corpus as corpus_mod
 from . import dense, fusion, jsonl, lexical, mining, rerank
@@ -220,13 +225,6 @@ class PipelineInputs:
     query_vectors: dense.VectorStore
     gateway: rerank.RerankGateway
 
-    def positives_by_query(self) -> dict[str, list[str]]:
-        """Each query's qrel doc ids."""
-        positives: dict[str, list[str]] = {}
-        for qrel in self.qrels:
-            positives.setdefault(qrel.query_id, []).append(qrel.doc_id)
-        return positives
-
 
 def _stage(name: str, query_id: str | None, fn, *args, **kwargs):
     """Call fn; an EmbkitError escapes as a PipelineStageError naming the
@@ -239,24 +237,70 @@ def _stage(name: str, query_id: str | None, fn, *args, **kwargs):
         raise PipelineStageError(name, query_id, exc) from exc
 
 
+@contextmanager
+def _vector_worker(paths):
+    """Yield a function returning the stores a forked child loaded from the vector files, or None if it
+    failed or none was forked: a fork gains nothing on one CPU and can deadlock while threads run.  The
+    child writes pickled (ids, shape) pairs, then the matrices, to a memory file; leaving kills and reaps it."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    if not hasattr(os, "memfd_create") or len(cpus) < 2 or threading.active_count() > 1:
+        yield lambda: None
+        return
+    with open(os.memfd_create("vectors"), "w+b") as data:
+        try:
+            pid = os.fork()
+        except OSError:  # no child: the files load serially
+            pid = None
+        if pid == 0:
+            try:
+                stores = [dense.load_vectors(path) for path in paths]
+                pickle.dump([(store.ids, store.matrix.shape) for store in stores], data)
+                data.writelines(store.matrix for store in stores)
+                data.flush()
+                os._exit(0)
+            finally:  # only on an error: no traceback, and none of the parent's exit handlers
+                os._exit(1)
+        try:
+            yield lambda: _receive_vectors(pid, data) if pid else None
+        finally:
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _receive_vectors(pid: int, data) -> list[dense.VectorStore] | None:
+    """The child's stores, each matrix read from data into its final array, or None unless it exited with 0."""
+    if os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT).si_status:  # left for `_vector_worker` to reap
+        return None
+    data.seek(0)
+    return [dense.VectorStore(ids, np.fromfile(data, count=np.prod(shape)).reshape(shape))
+            for ids, shape in pickle.load(data)]  # a file only this process and its child can write
+
+
 def load_inputs(config: PipelineConfig) -> PipelineInputs:
-    """Load and index every input the retrieval stages need."""
-    corpus = _stage("load-corpus", None, corpus_mod.load_corpus, config.path("corpus"))
-    queries = _stage("load-queries", None, corpus_mod.load_queries, config.path("queries"))
-    qrels = _stage("load-qrels", None, corpus_mod.load_qrels, config.path("qrels"))
-    index = _stage("index-lexical", None, lexical.build_index, corpus.documents.values())
-    doc_vectors = _stage("load-doc-vectors", None, dense.load_vectors, config.path("doc_vectors"))
-    query_vectors = _stage("load-query-vectors", None, dense.load_vectors, config.path("query_vectors"))
+    """Load and index every input the retrieval stages need, the vector files in a forked child where
+    it can.  If the child fails in any way, they load here in their stage, so errors are a serial load's."""
+    vector_paths = [config.path("doc_vectors"), config.path("query_vectors")]
     scores_path = config.path("reranker_scores")
-    scores = _stage("load-scores", None, rerank.load_scores, scores_path) if scores_path else rerank.ScoreSet()
-    client = None
+    with _vector_worker(vector_paths) as received:
+        corpus = _stage("load-corpus", None, corpus_mod.load_corpus, config.path("corpus"))
+        queries = _stage("load-queries", None, corpus_mod.load_queries, config.path("queries"))
+        qrels = _stage("load-qrels", None, corpus_mod.load_qrels, config.path("qrels"))
+        index = _stage("index-lexical", None, lexical.build_index, corpus.documents.values())
+        try:  # while the child still parses; the vector files come first in the stage order
+            scores = _stage("load-scores", None, rerank.load_scores, scores_path) if scores_path else rerank.ScoreSet()
+        except (EmbkitError, OSError) as exc:
+            scores = exc
+        stores = received()
+    if stores is None:
+        stores = [_stage("load-doc-vectors", None, dense.load_vectors, vector_paths[0]),
+                  _stage("load-query-vectors", None, dense.load_vectors, vector_paths[1])]
+    if isinstance(scores, Exception):
+        raise scores
     endpoint = config.path("reranker_endpoint")
-    if endpoint:
-        client = rerank.RerankClient(endpoint)
     return PipelineInputs(
-        corpus=corpus, queries=queries, qrels=qrels, index=index,
-        doc_vectors=doc_vectors, query_vectors=query_vectors,
-        gateway=rerank.RerankGateway(scores=scores, client=client),
+        corpus=corpus, queries=queries, qrels=qrels, index=index, doc_vectors=stores[0], query_vectors=stores[1],
+        gateway=rerank.RerankGateway(scores=scores, client=rerank.RerankClient(endpoint) if endpoint else None),
     )
 
 
@@ -304,7 +348,7 @@ def score_query(config: PipelineConfig, inputs: PipelineInputs, query: corpus_mo
     return _stage("fuse", query.id, fusion.build_teacher_scores, query, lex, sem, rer, float(config["rrf_k"]))
 
 
-def score_all_queries(config: PipelineConfig, inputs: PipelineInputs
+def score_all_queries(config: PipelineConfig, inputs: PipelineInputs, positives_by_query: dict[str, list[str]]
                       ) -> tuple[dict[str, fusion.TeacherScoreSet], dict[str, str]]:
     """Teacher score sets for every query, and their `reranker_scores.jsonl` lines, keyed by query id.
 
@@ -316,7 +360,6 @@ def score_all_queries(config: PipelineConfig, inputs: PipelineInputs
     stage `rerank` and no query; it is raised in place of the failure of a
     query fused before it, which waits for the end of the pass.
     """
-    positives_by_query = inputs.positives_by_query()
     retrieved = {query.id: retrieve_query(config, inputs, query, positives_by_query.get(query.id, []))
                  for query in inputs.queries.values()}
 
@@ -364,15 +407,16 @@ def run_mine(config: PipelineConfig) -> dict:
     require_valid(validate_config(config))
     inputs = load_inputs(config)
     qrels = sorted(inputs.qrels, key=lambda r: (r.query_id, r.doc_id))
+    positives_by_query: dict[str, list[str]] = {}  # each query's qrel doc ids
     for qrel in qrels:  # before any query is retrieved or scored
         if qrel.query_id not in inputs.queries:
             raise PipelineStageError(
                 "mine", qrel.query_id, ValidationError(f"qrel references unknown query '{qrel.query_id}'")
             )
-    teacher_sets, reranker_lines = score_all_queries(config, inputs)
+        positives_by_query.setdefault(qrel.query_id, []).append(qrel.doc_id)
+    teacher_sets, reranker_lines = score_all_queries(config, inputs, positives_by_query)
     mining_config = config.mining_config()
     score_source = config["score_source"]
-    positives_by_query = inputs.positives_by_query()
 
     mined = [
         _stage("mine", qrel.query_id, mining.mine, teacher_sets[qrel.query_id], qrel.doc_id,

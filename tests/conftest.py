@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import threading
 import time
@@ -126,6 +127,24 @@ def no_thread_outlives_its_test():
     yield
     left = [thread.name for thread in threading.enumerate() if thread not in before]
     assert not left, f"threads left running: {left}"
+
+
+def child_pids() -> set[int]:
+    """Pids of this process's children, running or not yet reaped (Linux; empty elsewhere)."""
+    pids: set[int] = set()
+    for path in Path("/proc/self/task").glob("*/children"):
+        with contextlib.suppress(OSError):  # the thread has exited since the glob
+            pids.update(map(int, path.read_text().split()))
+    return pids
+
+
+@pytest.fixture(autouse=True)
+def no_process_outlives_its_test():
+    """Fail a test that leaves a child process, running or unreaped, that was not there before it."""
+    before = child_pids()
+    yield
+    left = sorted(child_pids() - before)
+    assert not left, f"child processes left: {left}"
 
 
 @pytest.fixture

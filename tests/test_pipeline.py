@@ -7,6 +7,7 @@ import math
 import os
 import re
 import shutil
+import signal
 import threading
 import time
 from pathlib import Path
@@ -14,12 +15,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from embkit import jsonl, pipeline, rerank
+import numpy as np
+
+from embkit import corpus as corpus_mod
+from embkit import dense, jsonl, pipeline, rerank
 from embkit.cli import build_parser, main
 from embkit.errors import PipelineStageError, RerankTransportError, ValidationError
 from embkit.forge import load_training_records
 
-from conftest import FIXTURES, ScoringServer
+from conftest import FIXTURES, ScoringServer, child_pids
 
 PIPELINE_FIXTURE = FIXTURES / "pipeline"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -523,6 +527,208 @@ class TestRunMine:
         assert server.calls == calls_after_last_answer
         assert output_bytes(out) == before
         assert sorted(p.name for p in out.iterdir()) == sorted(before)
+
+
+def use_worker(monkeypatch, worker: bool) -> list[int]:
+    """Make `load_inputs` fork its vector worker, or load serially, whatever
+    the host's CPU count.  Returns the pids `os.fork` will hand the parent."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1} if worker else {0})
+    forks: list[int] = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def copy_fixture(tmp_path, **edits) -> Path:
+    """The pipeline fixture copied under tmp_path with each named file's text
+    passed through its edit; returns the copied config."""
+    inputs = tmp_path / "inputs"
+    shutil.copytree(PIPELINE_FIXTURE, inputs)
+    for name, edit in edits.items():
+        path = inputs / f"{name}.jsonl"
+        path.write_text(edit(path.read_text()))
+    raw = json.loads((inputs / "config.json").read_text())
+    raw["paths"]["output_dir"] = str(tmp_path / "out")
+    (inputs / "config.json").write_text(json.dumps(raw))
+    return inputs / "config.json"
+
+
+def mine_outcome(config_path, monkeypatch, capsys, worker: bool):
+    """Whether a fork was made, and what `embkit mine` and `run_mine` report on config_path."""
+    forks = use_worker(monkeypatch, worker)
+    code = main(["--config", str(config_path), "mine"])
+    err = capsys.readouterr().err
+    with pytest.raises((PipelineStageError, OSError)) as caught:
+        pipeline.run_mine(pipeline.load_config(config_path))
+    exc = caught.value
+    return bool(forks), (code, err, type(exc), str(exc), getattr(exc, "stage", None), getattr(exc, "query_id", None))
+
+
+@pytest.mark.skipif(not hasattr(os, "memfd_create"), reason="the vector worker needs os.fork and os.memfd_create")
+class TestVectorWorker:
+    """`load_inputs` parses the vector files in a forked child where it can."""
+
+    def test_worker_and_serial_loads_are_equal(self, tmp_path, monkeypatch):
+        config = fixture_config(tmp_path)
+        use_worker(monkeypatch, False)
+        serial = pipeline.load_inputs(config)
+        forks = use_worker(monkeypatch, True)
+        forked = pipeline.load_inputs(config)
+        assert len(forks) == 1
+        for got, want in [(forked.doc_vectors, serial.doc_vectors), (forked.query_vectors, serial.query_vectors)]:
+            assert (got.ids, got.dim, len(got)) == (want.ids, want.dim, len(want))
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            assert all(got.get(vec_id).tobytes() == want.get(vec_id).tobytes() for vec_id in want.ids)
+        assert (forked.corpus, forked.queries, forked.qrels) == (serial.corpus, serial.queries, serial.qrels)
+        assert forked.gateway.scores.items() == serial.gateway.scores.items()
+
+    def test_worker_and_serial_runs_write_the_same_bytes(self, tmp_path, monkeypatch):
+        use_worker(monkeypatch, False)
+        pipeline.run_mine(fixture_config(tmp_path, "serial"))
+        forks = use_worker(monkeypatch, True)
+        pipeline.run_mine(fixture_config(tmp_path, "forked"))
+        assert len(forks) == 1
+        assert output_bytes(tmp_path / "forked") == output_bytes(tmp_path / "serial")
+
+    def test_fixture_vectors_come_from_the_worker(self, tmp_path, monkeypatch):
+        """The parent forks once and never loads a vector file itself, so a
+        silent fallback to a serial load fails here."""
+        forks = use_worker(monkeypatch, True)
+        counted_fork = os.fork
+
+        def refuse(path):
+            raise AssertionError(f"{path} was loaded by the parent process")
+
+        def fork_then_refuse():
+            pid = counted_fork()
+            if pid:  # the child keeps the real loader
+                monkeypatch.setattr(dense, "load_vectors", refuse)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork_then_refuse)
+        inputs = pipeline.load_inputs(fixture_config(tmp_path))
+        assert len(forks) == 1
+        assert (len(inputs.doc_vectors), len(inputs.query_vectors)) == (8, 3)
+        assert inputs.query_vectors.get("q2").tobytes() == np.asarray(inputs.query_vectors.matrix[1]).tobytes()
+
+    def test_no_fork_while_another_thread_runs(self, tmp_path, monkeypatch):
+        forks = use_worker(monkeypatch, True)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            inputs = pipeline.load_inputs(fixture_config(tmp_path))
+        finally:
+            release.set()
+            thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert forks == [] and len(inputs.doc_vectors) == 8
+
+    @pytest.mark.parametrize("edits, stage", [
+        ({"doc_vectors": lambda text: text + '{"id": "d9", "vector": [0.1, "x", 0.0, 0.0]}\n'},
+         "load-doc-vectors"),
+        ({"query_vectors": lambda text: text + '{"id": "q9", "vector": [0.1, 1e999, 0.0, 0.0]}\n'},
+         "load-query-vectors"),
+        ({"doc_vectors": lambda text: ""}, "load-doc-vectors"),
+        ({"query_vectors": lambda text: "\n  \n"}, "load-query-vectors"),
+        ({"corpus": lambda text: '{"id": "d1"}\n' + text,
+          "doc_vectors": lambda text: text + '{"id": "d9", "vector": [true]}\n'}, "load-corpus"),
+        ({"reranker_scores": lambda text: text + '{"query_id": "q1", "doc_id": "d1"}\n'}, "load-scores"),
+        ({"reranker_scores": lambda text: text + '{"query_id": "q1", "doc_id": "d1"}\n',
+          "query_vectors": lambda text: ""}, "load-query-vectors"),
+    ], ids=["bad-doc-vector-line", "bad-query-vector-line", "empty-doc-vectors", "blank-query-vectors",
+            "bad-corpus-and-doc-vectors", "bad-score-line", "bad-scores-and-empty-query-vectors"])
+    def test_worker_failure_reports_the_serial_error(self, tmp_path, monkeypatch, capsys, edits, stage):
+        config = copy_fixture(tmp_path, **edits)
+        serial_forked, serial = mine_outcome(config, monkeypatch, capsys, worker=False)
+        forked, outcome = mine_outcome(config, monkeypatch, capsys, worker=True)
+        assert (serial_forked, forked) == (False, True)
+        assert outcome == serial
+        assert outcome[0] == 2 and outcome[4] == stage and outcome[5] is None
+
+    @pytest.mark.parametrize("name", ["doc_vectors", "query_vectors"])
+    def test_unreadable_vector_file_reports_the_serial_error(self, tmp_path, monkeypatch, capsys, name):
+        """A vector file replaced by a directory after the config check
+        cannot be opened; both loads raise the same OSError."""
+        config = copy_fixture(tmp_path)
+        vectors = config.parent / f"{name}.jsonl"
+        vectors.unlink()
+        vectors.mkdir()
+        monkeypatch.setattr(pipeline, "validate_paths", lambda config: [])
+        serial_forked, serial = mine_outcome(config, monkeypatch, capsys, worker=False)
+        forked, outcome = mine_outcome(config, monkeypatch, capsys, worker=True)
+        assert (serial_forked, forked) == (False, True)
+        assert outcome == serial
+        assert outcome[0] == 1 and issubclass(outcome[2], OSError) and str(vectors) in outcome[1]
+
+    def test_worker_crash_falls_back_to_a_serial_load(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+        load = dense.load_vectors
+
+        def crash_in_child(path):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return load(path)
+
+        monkeypatch.setattr(dense, "load_vectors", crash_in_child)
+        config = fixture_config(tmp_path)
+        forks = use_worker(monkeypatch, True)
+        inputs = pipeline.load_inputs(config)
+        assert len(forks) == 1
+        use_worker(monkeypatch, False)
+        expected = pipeline.load_inputs(config)
+        assert inputs.doc_vectors.matrix.tobytes() == expected.doc_vectors.matrix.tobytes()
+
+    def test_child_without_a_clean_exit_is_a_failed_worker(self, tmp_path, monkeypatch):
+        """What the child wrote counts only once it has exited with 0."""
+        parent, load, exit_ = os.getpid(), dense.load_vectors, os._exit
+        loaded_here = []
+
+        def load_counted(path):
+            if os.getpid() == parent:
+                loaded_here.append(path)
+            return load(path)
+
+        monkeypatch.setattr(dense, "load_vectors", load_counted)
+        monkeypatch.setattr(os, "_exit", lambda code: exit_(3))  # only the child exits
+        config = fixture_config(tmp_path)
+        forks = use_worker(monkeypatch, True)
+        inputs = pipeline.load_inputs(config)
+        assert len(forks) == 1 and loaded_here == [config.path("doc_vectors"), config.path("query_vectors")]
+        assert inputs.doc_vectors.ids == [f"d{i}" for i in range(1, 9)]
+
+    @pytest.mark.parametrize("error, raised", [(ValidationError("bad corpus"), PipelineStageError),
+                                               (KeyboardInterrupt(), KeyboardInterrupt)],
+                             ids=["stage-error", "interrupt"])
+    def test_main_process_failure_kills_a_busy_worker(self, tmp_path, monkeypatch, error, raised):
+        started = tmp_path / "worker-started"
+
+        def slow_load(path):  # runs in the child
+            started.touch()
+            time.sleep(60)
+
+        def fail_once_the_worker_runs(path):
+            deadline = time.monotonic() + 10
+            while not started.exists():
+                assert time.monotonic() < deadline, "the worker never started"
+                time.sleep(0.01)
+            raise error
+
+        monkeypatch.setattr(dense, "load_vectors", slow_load)
+        monkeypatch.setattr(corpus_mod, "load_corpus", fail_once_the_worker_runs)
+        forks = use_worker(monkeypatch, True)
+        begun = time.monotonic()
+        with pytest.raises(raised):
+            pipeline.load_inputs(fixture_config(tmp_path))
+        assert time.monotonic() - begun < 10
+        assert len(forks) == 1 and forks[0] not in child_pids()
 
 
 class TestCli:
