@@ -79,9 +79,12 @@ def load_vectors(path) -> VectorStore:
 
     Rows go straight into the store's matrix and finiteness is checked once,
     over all of it.  If any check fails, the file is read again through
-    `add`, record by record, so the error is the one `add` gives.
+    `add`, record by record, so the error is the one `add` gives.  The
+    store returned holds its rows alone, not the spare rows of its buffer.
     """
-    return jsonl.load(path, _read_fast, lambda path, records: _read_vectors(path, records, VectorStore.add))
+    store = jsonl.load(path, _read_fast, lambda path, records: _read_vectors(path, records, VectorStore.add))
+    store._buffer = store.matrix.copy()
+    return store
 
 
 def _read_fast(path, records: jsonl.Records) -> VectorStore:

@@ -47,6 +47,7 @@ DEFAULTS: dict = {
 }
 
 _INPUT_PATH_KEYS = ("corpus", "queries", "qrels", "doc_vectors", "query_vectors")
+PATH_KEYS = (*_INPUT_PATH_KEYS, "reranker_scores", "reranker_endpoint", "output_dir")
 
 TRAINING_RECORDS_FILE = "training_records.jsonl"
 MINED_FILE = "mined_negatives.jsonl"
@@ -177,8 +178,8 @@ def validate_settings(config: PipelineConfig) -> list[str]:
 
 
 def validate_paths(config: PipelineConfig) -> list[str]:
-    """Missing input files and output locations that `mine` needs."""
-    errors: list[str] = []
+    """Unknown keys, missing input files and output locations that `mine` cannot use."""
+    errors = [f"paths.{key}: unknown path" for key in config.paths if key not in PATH_KEYS]
     for key in _INPUT_PATH_KEYS:
         value = config.path(key)
         if value is None:
@@ -198,7 +199,11 @@ def validate_paths(config: PipelineConfig) -> list[str]:
             errors.append(f"paths.reranker_endpoint: {exc}")
     output_dir = config.path("output_dir")
     if output_dir is None:
-        errors.append("paths.output_dir: required")
+        return errors + ["paths.output_dir: required"]
+    # The nearest part of the path that exists must be a directory, or mkdir fails after every query is scored.
+    nearest = next(path for path in (Path(output_dir), *Path(output_dir).parents) if os.path.lexists(path))
+    if not os.path.isdir(nearest):
+        errors.append(f"paths.output_dir: {nearest} is not a directory")
     elif scores_path is not None and os.path.isfile(scores_path):
         target = os.path.join(output_dir, RERANKER_SCORES_FILE)
         if os.path.exists(target) and os.path.samefile(target, scores_path):

@@ -128,10 +128,11 @@ def parse_endpoint(url: str) -> tuple[Callable[..., http.client.HTTPConnection],
 class RerankClient:
     """Batch scoring client for the wire protocol.
 
-    Already-answered pairs are served from an in-memory memo without touching
-    the network.  The misses of one call are split into chunks of at most
-    `batch_size` pairs, which starts at BATCH_SIZE and drops to any limit a
-    413 declares, and up to MAX_IN_FLIGHT of them are in flight at all times.
+    `request_scores` keeps a memo of the pairs it has answered and posts
+    only the others; `answered` posts every key it is given.  The keys of
+    one pass are split into chunks of at most `batch_size` pairs, which
+    starts at BATCH_SIZE and drops to any limit a 413 declares, and up to
+    MAX_IN_FLIGHT of them are in flight at all times.
     The cap is 6 because an endpoint served by Python's http.server (listen
     backlog 5) has room for at most 6 connects that it has not yet accepted
     on Linux; a client with more of them open can have a SYN dropped, which
@@ -139,68 +140,55 @@ class RerankClient:
     to the endpoint: proxy variables are ignored and a redirect is not
     followed.  `answered` hands each chunk back as it lands, and
     `request_scores` waits for all of them.  `upstream_calls` counts the
-    replies that passed validation.
+    replies that passed validation.  One lock guards the memo, the counters
+    and the state of every pass.
     """
 
     def __init__(self, endpoint: str):
         self._connect, self._target = parse_endpoint(endpoint)
         self.batch_size = BATCH_SIZE
         self.upstream_calls = 0
-        self._memo: dict[tuple[str, str], float] = {}
+        self._memo: dict[tuple[str, str], float] = {}  # request_scores' answers
         self._lock = threading.Lock()
 
     def request_scores(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
         """Score (query text, doc text) pairs, order-aligned with the input.
 
-        Waits until every chunk of the call is answered: it reads `answered`
-        to the end.
+        A pair answered by an earlier call comes from the memo; the others
+        are posted once each, and the call waits until all are answered.
         """
         keys = [(q, d) for q, d in pairs]
-        for _ in self.answered(keys):
-            pass
-        return [self._memo[key] for key in keys]
-
-    def answered(self, keys: Iterable[tuple[str, str]]) -> Iterator[dict[tuple[str, str], float]]:
-        """Scores of (query text, doc text) keys, a batch at a time as they are answered.
-
-        Keys already in the memo come first, as one batch; the others are
-        posted once each, in order of first appearance, and each chunk is
-        yielded in the caller's thread as soon as its reply lands.
-        """
-        known: dict[tuple[str, str], float] = {}
-        missing: dict[tuple[str, str], None] = {}
         with self._lock:
-            for key in keys:
-                if key in self._memo:
-                    known[key] = self._memo[key]
-                else:
-                    missing[key] = None
-        if known:
-            yield known
-        if missing:
-            yield from self._fetch(list(missing))
+            missing = [key for key in dict.fromkeys(keys) if key not in self._memo]
+        for batch in self.answered(missing):
+            with self._lock:
+                self._memo.update(batch)
+        with self._lock:
+            return [self._memo[key] for key in keys]
 
-    def _fetch(self, keys: list[tuple[str, str]]) -> Iterator[dict[tuple[str, str], float]]:
-        """Scores of keys by chunk, posted by up to MAX_IN_FLIGHT workers.
+    def answered(self, keys: Sequence[tuple[str, str]]) -> Iterator[dict[tuple[str, str], float]]:
+        """Scores of distinct (query text, doc text) keys, a chunk at a time as each is answered.
 
-        The workers put each answered chunk into the memo and hand it back,
-        and this generator yields it in the caller's thread; they go on
-        posting while the caller works between yields.  The first chunks are
-        cut before any is posted; after that a worker cuts its next chunk
-        from the front of the keys not yet cut, at the `batch_size` of that
-        moment.  A chunk refused with 413 puts its keys back at that front,
-        so they are cut again like the rest.  Once a chunk fails, or the
-        caller stops reading, no new chunk is cut.  The first error is raised
-        after every answered chunk has been yielded, and no worker outlives
-        the generator.
+        Up to MAX_IN_FLIGHT workers post the chunks in order of the keys and
+        hand each answered chunk back, and this generator yields it in the
+        caller's thread; they go on posting while the caller works between
+        yields.  The first chunks are cut before any is posted; after that a
+        worker cuts its next chunk from the front of the keys not yet cut,
+        at the `batch_size` of that moment.  A chunk refused with 413 puts
+        its keys back at that front, so they are cut again like the rest.
+        Once a chunk fails, or the caller stops reading, no new chunk is
+        cut.  The first error is raised after every answered chunk has been
+        yielded, and no worker outlives the generator.  No keys, no post.
         """
-        lock = threading.Lock()
+        if not keys:
+            return
         landed: queue.SimpleQueue[dict[tuple[str, str], float] | None] = queue.SimpleQueue()
         errors: list[Exception] = []
         uncut = collections.deque(keys)
         stopped = False
 
         def cut(refused: Sequence[tuple[str, str]] = ()) -> list[tuple[str, str]] | None:
+            """The next chunk, or None if no more is to be cut; the caller holds the lock."""
             uncut.extendleft(reversed(refused))
             if errors or stopped or not uncut:
                 return None
@@ -212,20 +200,18 @@ class RerankClient:
                     try:
                         scores = self._post_chunk(chunk)
                     except Exception as exc:
-                        with lock:
+                        with self._lock:
                             errors.append(exc)
                         return
                     if scores is not None:
-                        batch = dict(zip(chunk, scores))
-                        with self._lock:
-                            self._memo.update(batch)
-                        landed.put(batch)
-                    with lock:
+                        landed.put(dict(zip(chunk, scores)))
+                    with self._lock:
                         chunk = cut(chunk if scores is None else ())
             finally:
                 landed.put(None)  # this worker is done
 
-        first = [cut() for _ in range(min(MAX_IN_FLIGHT, -(-len(keys) // self.batch_size)))]
+        with self._lock:
+            first = [cut() for _ in range(min(MAX_IN_FLIGHT, -(-len(keys) // self.batch_size)))]
         with ThreadPoolExecutor(max_workers=len(first)) as pool:
             futures = [pool.submit(work, chunk) for chunk in first]
             try:
@@ -233,7 +219,7 @@ class RerankClient:
                     while (scores := landed.get()) is not None:
                         yield scores
             finally:
-                with lock:
+                with self._lock:
                     stopped = True  # a caller that stops reading cuts no more chunks
         for future in futures:
             future.result()
@@ -316,10 +302,10 @@ class RerankGateway:
     """Id-keyed scoring facade over a ScoreSet cache and an optional wire client.
 
     Lookups hit the cache first; misses go upstream (when a client is
-    configured) and the answers are merged back, so repeated requests for
-    the same pair never cause a second network call.  `prefetch` fills the
-    cache for many queries at once, so their misses share full batches, and
-    hands each query back as soon as its pairs are in.
+    configured) and the answers are merged back, so a later request for a
+    (query id, doc id) pair already in the cache makes no network call.
+    `prefetch` fills the cache for many queries at once, so their misses
+    share full batches, and hands each query back as soon as its pairs are in.
     """
 
     def __init__(self, scores: ScoreSet | None = None, client: RerankClient | None = None):

@@ -26,6 +26,14 @@ class TestLoadVectors:
         assert store.dim == 4
         assert len(store) == 2
 
+    def test_store_holds_exactly_its_rows(self, tmp_path):
+        # 1,025 rows grow the buffer to 2,048; the loaded store keeps none of the spare rows.
+        path = tmp_path / "vectors.jsonl"
+        write_lines(path, [f'{{"id": "v{i}", "vector": [{i}, 1]}}' for i in range(1025)])
+        store = load_vectors(path)
+        assert store._buffer.shape == store.matrix.shape == (1025, 2)
+        assert store.get("v1024").tolist() == [1024.0, 1.0]
+
     def test_dimension_mismatch_names_id(self, tmp_path):
         path = tmp_path / "vectors.jsonl"
         write_lines(path, [

@@ -23,7 +23,7 @@ from embkit.cli import build_parser, main
 from embkit.errors import PipelineStageError, RerankTransportError, ValidationError
 from embkit.forge import load_training_records
 
-from conftest import FIXTURES, ScoringServer, child_pids
+from conftest import FIXTURES, ScoringServer, child_pids, default_score
 
 PIPELINE_FIXTURE = FIXTURES / "pipeline"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -123,11 +123,20 @@ class TestValidateConfig:
         config.paths["output_dir"] = str(tmp_path / "elsewhere")
         assert pipeline.validate_config(config) == []
 
+    def test_unknown_path_keys_rejected(self, tmp_path):
+        # A misspelt score file would otherwise send every pair to the endpoint.
+        config = fixture_config(tmp_path)
+        config.paths["reranker_score"] = config.paths.pop("reranker_scores")
+        config.paths["reranker_endpoint"] = "http://127.0.0.1:9/score"
+        config.paths["outptu_dir"] = str(tmp_path / "typo")
+        assert pipeline.validate_config(config) == [
+            "paths.reranker_score: unknown path", "paths.outptu_dir: unknown path"]
+
 
 def test_readme_defaults_match_pipeline_defaults():
     block = re.search(r"### Configuration.*?```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     documented = json.loads(block.group(1))
-    documented.pop("paths")
+    assert list(documented.pop("paths")) == list(pipeline.PATH_KEYS)
     assert documented == pipeline.DEFAULTS
 
 
@@ -203,6 +212,43 @@ class TestRunMine:
         assert (excinfo.value.stage, excinfo.value.query_id) == ("mine", "q9")
         assert "qrel references unknown query 'q9'" in str(excinfo.value)
         assert scoring_server.calls == 0
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["is-a-file", "under-a-file"])
+    def test_output_dir_blocked_by_a_file_fails_before_any_post(self, tmp_path, scoring_server, below):
+        (tmp_path / "taken").write_text("not a directory\n", encoding="utf-8")
+        config = fixture_config(tmp_path, out_name=os.path.join("taken", below))
+        config.paths["reranker_scores"] = None
+        config.paths["reranker_endpoint"] = scoring_server.endpoint
+        with pytest.raises(ValidationError, match=r"paths\.output_dir: .*taken is not a directory"):
+            pipeline.run_mine(config)
+        assert scoring_server.calls == 0
+
+    def test_a_query_text_shared_by_two_ids_is_scored_once_per_doc(self, tmp_path):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(PIPELINE_FIXTURE, inputs)
+        with open(inputs / "queries.jsonl", "a", encoding="utf-8") as handle:
+            handle.write('{"id": "q4", "text": "mars rover mission", "task": "MSMARCO"}\n')  # q1's text
+        with open(inputs / "query_vectors.jsonl", "a", encoding="utf-8") as handle:
+            handle.write('{"id": "q4", "vector": [0.1, 1.0, 0.1, 0.0]}\n')
+        lock = threading.Lock()
+        scored = []
+
+        def counting_score(query, doc):
+            with lock:
+                scored.append((query, doc))
+            return default_score(query, doc)
+
+        config = pipeline.load_config(inputs / "config.json")
+        config.paths["output_dir"] = str(tmp_path / "out")
+        config.paths["reranker_scores"] = None
+        with ScoringServer(score_fn=counting_score) as server:
+            config.paths["reranker_endpoint"] = server.endpoint
+            pipeline.run_mine(config)
+        # Four pools of all 8 docs, of which q1's and q4's are the same 8 text pairs.
+        assert len(scored) == len(set(scored)) == 24
+        written = rerank.load_scores(tmp_path / "out" / pipeline.RERANKER_SCORES_FILE)
+        assert len(written) == 32
+        assert all(written.score("q4", d) == s for q, d, s in written.items() if q == "q1")
 
     @pytest.mark.parametrize("overrides, message", [
         ({"pool_size": True}, "pool_size: must be an integer >= 1, got True"),
