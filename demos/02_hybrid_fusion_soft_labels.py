@@ -43,9 +43,7 @@ def main():
     index = build_index(Document(id=d, text=t) for d, t in DOCS.items())
     lex = search_lexical(index, Bm25Params(), query, 5)
 
-    store = VectorStore()
-    for doc_id, vec in VECTORS.items():
-        store.add(doc_id, vec)
+    store = VectorStore(list(VECTORS), np.array(list(VECTORS.values())))
     sem = search_semantic(store, q_vec, 5)
 
     rer = top_n(list(RERANKER), list(RERANKER.values()), 5, "reranker")

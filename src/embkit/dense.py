@@ -6,109 +6,83 @@ the same on every CPU: OpenBLAS picks `np.vecdot`'s kernel by CPU (ROADMAP item 
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from . import jsonl
-from .errors import RecordError, ValidationError
+from .errors import EmbkitError, RecordError, ValidationError
 from .ranking import CHANNEL_SEMANTIC, RankedList, top_n
 
 
 class VectorStore:
-    """Vectors as the rows of one float64 matrix, in the order they were added.
+    """Vectors as the rows of one float64 matrix, aligned with `ids`; the constructor checks nothing."""
 
-    `add` checks each vector before it stores it, and `VectorStore(ids, matrix)` checks nothing.
-    `load_vectors` writes rows straight into the matrix and checks finiteness once, over all of it.
-    """
-
-    def __init__(self, ids: list[str] | None = None, matrix: np.ndarray | None = None):
-        self.ids: list[str] = list(ids or ())
-        self._rows: dict[str, int] = dict(zip(self.ids, range(len(self.ids))))
-        self._buffer = np.empty((0, 0)) if matrix is None else matrix
-        self.dim = self._buffer.shape[1]
+    def __init__(self, ids: list[str], matrix: np.ndarray):
+        self.ids = ids
+        self.matrix = matrix
+        self.dim = matrix.shape[1]
+        self._rows = dict(zip(ids, range(len(ids))))
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """One row per vector, aligned with `ids`."""
-        return self._buffer[: len(self.ids)]
-
     def get(self, vec_id: str) -> np.ndarray:
         if vec_id not in self._rows:
             raise ValidationError(f"unknown vector id '{vec_id}'")
-        return self._buffer[self._rows[vec_id]]
-
-    def add(self, vec_id: str, vector) -> None:
-        try:
-            arr = np.asarray(vector, dtype=np.float64)
-        except OverflowError as exc:
-            raise ValidationError(f"vector '{vec_id}' has a component beyond float range") from exc
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValidationError(f"vector '{vec_id}' must be a non-empty 1-d array")
-        if not np.isfinite(arr).all():
-            raise ValidationError(f"vector '{vec_id}' contains a non-finite component")
-        if self.ids and arr.size != self.dim:
-            raise ValidationError(f"vector '{vec_id}' has dimension {arr.size}, expected {self.dim}")
-        if vec_id in self._rows:
-            raise ValidationError(f"duplicate vector id '{vec_id}'")
-        self._append(vec_id, arr)
-
-    def _append(self, vec_id: str, vector) -> None:
-        """`add` for a list of numbers, less its finiteness check; a number
-        beyond float range raises OverflowError."""
-        row = len(self.ids)
-        # A one-number list would broadcast over a row; `add` raises on it.
-        if (row and len(vector) != self.dim) or vec_id in self._rows:
-            return self.add(vec_id, vector)
-        if not row:
-            self.dim = len(vector)
-            self._buffer = np.empty((0, self.dim))
-        if row == len(self._buffer):
-            # Doubling keeps appends amortised O(dim) without a copy per row.
-            grown = np.empty((max(1, 2 * row), self.dim))
-            grown[:row] = self.matrix
-            self._buffer = grown
-        self._buffer[row] = vector
-        self._rows[vec_id] = row
-        self.ids.append(vec_id)
+        return self.matrix[self._rows[vec_id]]
 
 
 def load_vectors(path) -> VectorStore:
     """Load {"id", "vector": [...]} records, at least one; the first fixes the dimension.
 
-    Rows go straight into the store's matrix and finiteness is checked once,
-    over all of it.  If any check fails, the file is read again through
-    `add`, record by record, so the error is the one `add` gives.  The
-    store returned holds its rows alone, not the spare rows of its buffer.
+    Each record is checked in turn, and an error names its line: the id, the
+    components (numbers within float range), then finiteness, the dimension
+    and a repeated id.  The returned matrix holds exactly its rows.
     """
-    store = jsonl.load(path, _read_fast, lambda path, records: _read_vectors(path, records, VectorStore.add))
-    store._buffer = store.matrix.copy()
-    return store
+    return jsonl.load(path, _read_vectors)
 
 
-def _read_fast(path, records: jsonl.Records) -> VectorStore:
-    store = _read_vectors(path, records, VectorStore._append)
-    if not np.isfinite(store.matrix).all():
-        raise ValidationError(f"{path}: a vector has a non-finite component")
-    return store
-
-
-def _read_vectors(path, records: jsonl.Records, add) -> VectorStore:
-    store = VectorStore()
-    for lineno, record in records:
-        vec_id = jsonl.string(record, "id", path, lineno, non_empty=True)
-        raw = jsonl.require(record, "vector", path, lineno)
-        # type() is exact, so bool (an int subclass) is rejected too.
-        if not isinstance(raw, list) or not raw or not set(map(type, raw)) <= {int, float}:
-            raise RecordError(path, lineno, "field 'vector' must be a non-empty list of numbers")
-        try:
-            add(store, vec_id, raw)
-        except ValidationError as exc:
-            raise RecordError(path, lineno, str(exc)) from exc
-    if not store.ids:
+def _read_vectors(path, records: jsonl.Records) -> VectorStore:
+    """`load_vectors` over records.  Finiteness is checked over all rows at the end, and
+    first whenever another check fails, so the error is the one a check of each record in turn gives."""
+    ids, lines, seen, flat, dim = [], [], set(), array("d"), 0
+    try:
+        for lineno, record in records:
+            vec_id = jsonl.string(record, "id", path, lineno, non_empty=True)
+            raw = jsonl.require(record, "vector", path, lineno)
+            # type() is exact, so bool (an int subclass) is rejected too.
+            if not isinstance(raw, list) or not raw or not set(map(type, raw)) <= {int, float}:
+                raise RecordError(path, lineno, "field 'vector' must be a non-empty list of numbers")
+            try:  # on an error fromlist leaves flat as it was
+                flat.fromlist(raw)
+            except OverflowError:
+                raise RecordError(path, lineno, f"vector '{vec_id}' has a component beyond float range") from None
+            # The row is in before its own checks, so that on their failure
+            # `_check_finite` finds a non-finite component of it first.
+            ids.append(vec_id)
+            lines.append(lineno)
+            dim = dim or len(raw)
+            if len(raw) != dim:
+                raise RecordError(path, lineno, f"vector '{vec_id}' has dimension {len(raw)}, expected {dim}")
+            if vec_id in seen:
+                raise RecordError(path, lineno, f"duplicate vector id '{vec_id}'")
+            seen.add(vec_id)
+    except EmbkitError:
+        _check_finite(path, flat, dim, ids, lines)
+        raise
+    if not ids:
         raise ValidationError(f"{path}: no vector records")
-    return store
+    _check_finite(path, flat, dim, ids, lines)
+    return VectorStore(ids, np.frombuffer(flat).reshape(len(ids), dim).copy())
+
+
+def _check_finite(path, flat: array, dim: int, ids: list[str], lines: list[int]) -> None:
+    """RecordError for the first row of flat with a non-finite component; every row but the last has dim components."""
+    bad = np.flatnonzero(~np.isfinite(np.frombuffer(flat)))
+    if bad.size:
+        row = min(bad[0] // dim, len(ids) - 1)
+        raise RecordError(path, lines[row], f"vector '{ids[row]}' contains a non-finite component")
 
 
 def search_semantic(store: VectorStore, q_vec, n: int) -> RankedList:

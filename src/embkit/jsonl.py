@@ -87,19 +87,19 @@ def iter_orjson(path) -> Records:
             yield lineno, record
 
 
-def load(path, build: Callable[[Any, Records], T], exact: Callable[[Any, Records], T] | None = None) -> T:
+def load(path, build: Callable[[Any, Records], T]) -> T:
     """build(path, records) over the records `iter_orjson` reads from path.
 
     If that raises EmbkitError, ValueError or OverflowError, the result is
-    built again by `exact`, or by `build` if there is none, from
-    `iter_records`: every value and every error is then the one `json` gives.
-    A build must read numbers through `float()`, or reject a float where it
-    needs an int, so that orjson's floats for big integers cannot change it.
+    built again from `iter_records`: every value and every error is then the
+    one `json` gives.  A build must read numbers through `float()`, or reject
+    a float where it needs an int, so that orjson's floats for big integers
+    cannot change it.
     """
     try:
         return build(path, iter_orjson(path))
     except (EmbkitError, ValueError, OverflowError):
-        return (exact or build)(path, iter_records(path))
+        return build(path, iter_records(path))
 
 
 def require(record: dict, field: str, path, lineno) -> Any:

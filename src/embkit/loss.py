@@ -261,7 +261,7 @@ def distill_grad_check(batch: SimBatch, teacher: TeacherDistribution, eps: float
 def load_batch_file(
     path, tau: float = 1.0, tau_teacher: float | None = None, in_batch: bool = False,
 ) -> tuple[SimBatch, TeacherDistribution | None]:
-    """Read {"s_pos", "s_neg", "teacher"?} lines into a batch and optional teacher.
+    """Read {"s_pos", "s_neg", "teacher"?} lines, at least one, into a batch and optional teacher.
 
     Every similarity and teacher score must be a finite JSON number.
     Teacher scores, when present, must appear on every line and align with
@@ -276,6 +276,8 @@ def load_batch_file(
         negs.append(_number_list(record, "s_neg", path, lineno))
         if "teacher" in record:
             teacher_rows.append(_number_list(record, "teacher", path, lineno))
+    if not pos:
+        raise ValidationError(f"{path}: no batch records")
     if teacher_rows and len(teacher_rows) != len(pos):
         raise ValidationError(
             f"{path}: 'teacher' must be present on every line or none "

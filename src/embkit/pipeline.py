@@ -23,8 +23,6 @@ from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import corpus as corpus_mod
 from . import dense, fusion, jsonl, lexical, mining, rerank
 from .errors import EmbkitError, PipelineStageError, ValidationError, is_integer, number_problems
@@ -246,7 +244,7 @@ def _stage(name: str, query_id: str | None, fn, *args, **kwargs):
 def _vector_worker(paths):
     """Yield a function returning the stores a forked child loaded from the vector files, or None if it
     failed or none was forked: a fork gains nothing on one CPU and can deadlock while threads run.  The
-    child writes pickled (ids, shape) pairs, then the matrices, to a memory file; leaving kills and reaps it."""
+    child writes its stores' (ids, matrix) pairs, pickled, to a memory file; leaving kills and reaps it."""
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
     if not hasattr(os, "memfd_create") or len(cpus) < 2 or threading.active_count() > 1:
         yield lambda: None
@@ -259,8 +257,7 @@ def _vector_worker(paths):
         if pid == 0:
             try:
                 stores = [dense.load_vectors(path) for path in paths]
-                pickle.dump([(store.ids, store.matrix.shape) for store in stores], data)
-                data.writelines(store.matrix for store in stores)
+                pickle.dump([(store.ids, store.matrix) for store in stores], data, protocol=5)
                 data.flush()
                 os._exit(0)
             finally:  # only on an error: no traceback, and none of the parent's exit handlers
@@ -274,12 +271,12 @@ def _vector_worker(paths):
 
 
 def _receive_vectors(pid: int, data) -> list[dense.VectorStore] | None:
-    """The child's stores, each matrix read from data into its final array, or None unless it exited with 0."""
+    """The child's stores, rebuilt from data, or None unless it exited with 0."""
     if os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT).si_status:  # left for `_vector_worker` to reap
         return None
     data.seek(0)
-    return [dense.VectorStore(ids, np.fromfile(data, count=np.prod(shape)).reshape(shape))
-            for ids, shape in pickle.load(data)]  # a file only this process and its child can write
+    # Protocol 5 reads each matrix's bytes straight into the array it becomes.
+    return [dense.VectorStore(ids, matrix) for ids, matrix in pickle.load(data)]  # written only by the child
 
 
 def load_inputs(config: PipelineConfig) -> PipelineInputs:

@@ -27,11 +27,15 @@ class TestLoadVectors:
         assert len(store) == 2
 
     def test_store_holds_exactly_its_rows(self, tmp_path):
-        # 1,025 rows grow the buffer to 2,048; the loaded store keeps none of the spare rows.
+        # 1,025 rows would leave a doubling buffer at 2,048; the matrix is no view into such a buffer.
         path = tmp_path / "vectors.jsonl"
         write_lines(path, [f'{{"id": "v{i}", "vector": [{i}, 1]}}' for i in range(1025)])
         store = load_vectors(path)
-        assert store._buffer.shape == store.matrix.shape == (1025, 2)
+        owner = store.matrix
+        while isinstance(owner.base, np.ndarray):
+            owner = owner.base
+        assert owner.base is None and owner.nbytes == store.matrix.nbytes
+        assert store.matrix.shape == (1025, 2)
         assert store.get("v1024").tolist() == [1024.0, 1.0]
 
     def test_dimension_mismatch_names_id(self, tmp_path):
@@ -157,6 +161,10 @@ def vector_files(draw):
 @example('{"id": "a", "vector": [1, 2]}\n{"id": "a", "vector": [3, 4]}\n')
 @example('{"id": "a", "vector": [1, 2]}\n{"id": "b", "vector": [3]}\n')
 @example('{"id": "a", "vector": [1, Infinity]}\n{\n')
+@example('{"id": "a", "vector": [NaN, 1]}\n{"id": "b", "vector": [1, 2]}\n{"id": "a", "vector": [3, 4]}\n')
+@example('{"id": "a", "vector": [1, NaN]}\n{"id": "b", "vector": [1, %s]}\n' % ("9" * 400))
+@example('{"id": "a", "vector": [1, 2]}\n{"id": "b", "vector": [NaN, 2]}\n{"id": "c", "vector": [1, 2, 3]}\n')
+@example('{"id": "a", "vector": [1, 2]}\r\n{"id": "b", "vector": [3, 4.5]}\r\n')
 def test_load_vectors_matches_per_row_loader(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "vectors.jsonl"
     path.write_bytes(text.encode())
@@ -178,10 +186,7 @@ def test_load_vectors_matches_per_row_loader(tmp_path_factory, text):
 
 class TestSearchSemantic:
     def make_store(self, vectors):
-        store = VectorStore()
-        for vec_id, vec in vectors.items():
-            store.add(vec_id, vec)
-        return store
+        return VectorStore(list(vectors), np.array(list(vectors.values()), dtype=np.float64))
 
     def test_identity_retrieval(self):
         store = self.make_store({"a": [1, 0, 0], "b": [0, 1, 0], "c": [0, 0, 1]})

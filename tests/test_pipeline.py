@@ -968,6 +968,15 @@ class TestCli:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize("command", ["loss", "grad-check"])
+    def test_batch_without_records_exits_one_before_any_output(self, tmp_path, capsys, command):
+        batch = tmp_path / "empty.jsonl"
+        batch.write_text("\n", encoding="utf-8")
+        assert main([command, "--batch", str(batch)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and f"{batch}: no batch records" in captured.err
+
     def test_grad_check_rejects_lambda(self, tmp_path, capsys):
         # grad-check never blends, so it has no blend weight to take.
         batch = tmp_path / "b.jsonl"
