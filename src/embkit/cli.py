@@ -139,6 +139,7 @@ def _load_batch(args):
 
 
 def _cmd_loss(args) -> int:
+    loss_mod.check_blend(args.blend)  # whether or not the batch has teacher scores to blend
     batch, teacher = _load_batch(args)
     # Every value is computed before the first line is printed, so a bad
     # flag leaves stdout empty.
@@ -181,9 +182,16 @@ _COMMANDS = {
 }
 
 
+# The commands that read each global flag; the others reject it.
+_GLOBAL_FLAG_READERS = {"config": ("mine", "format-prompts"), "seed": ("mine",)}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag, readers in _GLOBAL_FLAG_READERS.items():
+            if getattr(args, flag) is not None and args.command not in readers:
+                raise ValidationError(f"{args.command} does not read --{flag} (read by: {', '.join(readers)})")
         return _COMMANDS[args.command](args)
     except (ValidationError, RecordError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

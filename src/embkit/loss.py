@@ -92,7 +92,7 @@ class TeacherDistribution:
 
     def __post_init__(self):
         self.scores = [np.asarray(s, dtype=np.float64).reshape(-1) for s in self.scores]
-        _check_number("teacher temperature", self.tau, "> 0", lambda v: v > 0)
+        _check_teacher_tau(self.tau)
         for i, s in enumerate(self.scores):
             if s.size < 2:
                 raise ValidationError(f"query {i}: teacher needs at least 2 candidates")
@@ -103,6 +103,10 @@ def _check_number(name: str, value, rule: str, in_range) -> None:
     problems = number_problems(name, value, rule, in_range)
     if problems:
         raise ValidationError(*problems)
+
+
+def _check_teacher_tau(tau) -> None:
+    _check_number("teacher temperature", tau, "> 0", lambda v: v > 0)
 
 
 def _log_softmax(values: np.ndarray) -> np.ndarray:
@@ -190,18 +194,18 @@ def soft_distill_grad(batch: SimBatch, teacher: TeacherDistribution) -> np.ndarr
     return np.concatenate([grad_pos] + grad_neg)
 
 
-def _check_blend(blend) -> None:
+def check_blend(blend) -> None:
     _check_number("blend weight", blend, "in [0, 1]", lambda v: 0 <= v <= 1)
 
 
 def blended_loss(batch: SimBatch, teacher: TeacherDistribution, blend: float = 0.5) -> float:
     """Convex mix blend * InfoNCE + (1 - blend) * distillation."""
-    _check_blend(blend)
+    check_blend(blend)
     return blend * infonce_loss(batch) + (1.0 - blend) * soft_distill_loss(batch, teacher)
 
 
 def blended_grad(batch: SimBatch, teacher: TeacherDistribution, blend: float = 0.5) -> np.ndarray:
-    _check_blend(blend)
+    check_blend(blend)
     return blend * infonce_grad(batch) + (1.0 - blend) * soft_distill_grad(batch, teacher)
 
 
@@ -266,8 +270,11 @@ def load_batch_file(
     Every similarity and teacher score must be a finite JSON number.
     Teacher scores, when present, must appear on every line and align with
     [positive, negatives...]; the teacher temperature defaults to the
-    student's.
+    student's.  A given teacher temperature is checked before the file is
+    read, whether or not it holds teacher scores.
     """
+    if tau_teacher is not None:
+        _check_teacher_tau(tau_teacher)
     pos: list[float] = []
     negs: list[list[float]] = []
     teacher_rows: list[list[float]] = []

@@ -328,7 +328,7 @@ def score_query(config: PipelineConfig, inputs: PipelineInputs, query: corpus_mo
                 lex: RankedList, sem: RankedList, docs: list[tuple[str, str]]) -> fusion.TeacherScoreSet:
     """Rerank and fuse one retrieved query into a teacher score set.
 
-    The pool's scores come from the gateway's cache, which
+    The pool's scores are read from the gateway, whose scores
     `score_all_queries` has filled for this query; a pair still missing
     fails the query in strict mode and is dropped otherwise.
     """
@@ -355,38 +355,60 @@ def score_all_queries(config: PipelineConfig, inputs: PipelineInputs, positives_
     """Teacher score sets for every query, and their `reranker_scores.jsonl` lines, keyed by query id.
 
     Every query is retrieved first, so a retrieval error costs no reranker
-    call.  Then every pool pair missing from the gateway's cache is fetched
-    in one pass of full batches, and each query is reranked, fused and its
-    lines rendered, in query order, as soon as its pairs are answered,
-    while the rest of the pass is still in flight.  A wire failure names
-    stage `rerank` and no query; it is raised in place of the failure of a
-    query fused before it, which waits for the end of the pass.
+    call.  Then the one fill runs: every pool pair missing from the
+    gateway's scores is posted in one client pass of full batches and its
+    answer stored, and each query is reranked, fused and its lines rendered,
+    in query order, as soon as its pairs are stored, while the rest of the
+    pass is still in flight.  A wire failure names stage `rerank` and no
+    query; it is raised in place of the failure of a query fused before it,
+    which waits for the end of the pass.  Any other error stops the pass.
     """
+    queries = list(inputs.queries.values())
     retrieved = {query.id: retrieve_query(config, inputs, query, positives_by_query.get(query.id, []))
-                 for query in inputs.queries.values()}
+                 for query in queries}
 
     def filled():
-        try:
-            yield from inputs.gateway.prefetch(
-                [(query.id, query.text, retrieved[query.id][2]) for query in inputs.queries.values()])
-        except EmbkitError as exc:
-            raise PipelineStageError("rerank", None, exc) from exc
+        scores, client = inputs.gateway.scores, inputs.gateway.client
+        # (query text, doc text) -> the (query index, query id, doc id) awaiting its score
+        waiting: dict[tuple[str, str], list[tuple[int, str, str]]] = {}
+        pending = [0] * len(queries)
+        if client is not None:
+            for index, query in enumerate(queries):
+                for doc_id, doc_text in retrieved[query.id][2]:
+                    if (query.id, doc_id) not in scores:
+                        waiting.setdefault((query.text, doc_text), []).append((index, query.id, doc_id))
+                        pending[index] += 1
+        ready = 0
+        if waiting:
+            try:
+                with closing(client.answered(list(waiting))) as batches:
+                    for batch in batches:
+                        for key, score in batch.items():
+                            for index, query_id, doc_id in waiting[key]:
+                                scores.add(query_id, doc_id, score)
+                                pending[index] -= 1
+                        while ready < len(queries) and not pending[ready]:
+                            yield queries[ready]
+                            ready += 1
+            except EmbkitError as exc:
+                raise PipelineStageError("rerank", None, exc) from exc
+        yield from queries[ready:]
 
     teacher_sets: dict[str, fusion.TeacherScoreSet] = {}
     lines: dict[str, str] = {}
     failure: PipelineStageError | None = None
     with closing(filled()) as ready:
-        for query_id, _, _ in ready:
+        for query in ready:
             if failure is not None:
                 continue
             try:
-                teacher = score_query(config, inputs, inputs.queries[query_id], *retrieved[query_id])
+                teacher = score_query(config, inputs, query, *retrieved[query.id])
             except PipelineStageError as exc:
                 failure = exc
                 continue
-            teacher_sets[query_id] = teacher
-            lines[query_id] = rerank.score_lines(
-                (query_id, doc_id, score) for doc_id, score in sorted(teacher.reranker().items()))
+            teacher_sets[query.id] = teacher
+            lines[query.id] = rerank.score_lines(
+                (query.id, doc_id, score) for doc_id, score in sorted(teacher.reranker().items()))
     if failure is not None:
         raise failure
     return teacher_sets, lines
@@ -414,6 +436,10 @@ def run_mine(config: PipelineConfig) -> dict:
         if qrel.query_id not in inputs.queries:
             raise PipelineStageError(
                 "mine", qrel.query_id, ValidationError(f"qrel references unknown query '{qrel.query_id}'")
+            )
+        if qrel.doc_id not in inputs.corpus.documents:
+            raise PipelineStageError(
+                "mine", qrel.query_id, ValidationError(f"qrel references unknown document '{qrel.doc_id}'")
             )
         positives_by_query.setdefault(qrel.query_id, []).append(qrel.doc_id)
     teacher_sets, reranker_lines = score_all_queries(config, inputs, positives_by_query)

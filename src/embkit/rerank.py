@@ -1,4 +1,4 @@
-"""Cross-encoder score gateway.
+"""Cross-encoder scores: score files, the wire client and the scores of one run.
 
 The reranker model itself is external; this module only moves its numbers
 around.  Scores arrive either from precomputed JSONL files or over a
@@ -9,10 +9,11 @@ one-exchange wire protocol:
     413              {"max_batch_size": N}      client cuts the pairs again at N
     5xx                                         retried, like a reply cut short
 
-Every score handed out traces back to a file record or a wire response;
-the gateway never fabricates one.  Missing pairs are reported as None so
-callers can choose their own policy.  Reranker scores are arbitrary reals:
-nothing here may assume a [0, 1] range.
+A run fills its scores once, in `pipeline.score_all_queries`, and reads them
+through `RerankGateway.ensure_scores`.  Every score traces back to a file
+record or a wire response; a missing pair reads as None, so callers choose
+their own policy.  Reranker scores are arbitrary reals: nothing here may
+assume a [0, 1] range.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import threading
 import time
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import jsonl
@@ -45,8 +45,6 @@ RETRY_WAIT = 0.05  # seconds before each extra attempt
 
 # How `jsonl.dumps` writes a string: no ASCII escapes, the same as json.dumps(ensure_ascii=False).
 _string = json.encoder.encode_basestring
-
-ScoreRequest = tuple[str, str, Iterable[tuple[str, str]]]  # (query_id, query_text, [(doc_id, doc_text), ...])
 
 
 class ScoreSet:
@@ -299,13 +297,10 @@ def _validate_response(reply: bytes, expected: int) -> list[float]:
 
 
 class RerankGateway:
-    """Id-keyed scoring facade over a ScoreSet cache and an optional wire client.
+    """The reranker scores of one run and the wire client that fills them, if any.
 
-    Lookups hit the cache first; misses go upstream (when a client is
-    configured) and the answers are merged back, so a later request for a
-    (query id, doc id) pair already in the cache makes no network call.
-    `prefetch` fills the cache for many queries at once, so their misses
-    share full batches, and hands each query back as soon as its pairs are in.
+    `pipeline.score_all_queries` fills `scores` through one `client.answered`
+    pass before any query reads them; `ensure_scores` only reads.
     """
 
     def __init__(self, scores: ScoreSet | None = None, client: RerankClient | None = None):
@@ -314,47 +309,10 @@ class RerankGateway:
 
     def ensure_scores(self, query_id: str, query_text: str,
                       docs: Iterable[tuple[str, str]]) -> dict[str, float | None]:
-        """Return doc_id -> score for every doc, fetching misses upstream.
+        """Return doc_id -> stored score for every doc, None for a pair not stored; nothing is posted.
 
-        Without a wire client, missing pairs stay None and the caller
-        decides whether that is fatal.
+        `query_text` is not read.  It stays because the benchmark's tracer
+        (`perfbench/spans.py`) hooks this method with (gateway, query_id,
+        query_text, docs).
         """
-        docs = list(docs)
-        for _ in self.prefetch([(query_id, query_text, docs)]):
-            pass
         return {doc_id: self.scores.score(query_id, doc_id) for doc_id, _ in docs}
-
-    def prefetch(self, requests: Iterable[ScoreRequest]) -> Iterator[ScoreRequest]:
-        """Fill the cache for many queries through one client pass, yielding
-        each request, in the order given, once all its pairs are in the cache.
-
-        Each request is `(query_id, query_text, docs)` as `ensure_scores`
-        takes it.  The uncached pairs of every request are posted in one
-        client pass, in request order, so they share full batches; the pass
-        goes on in the background while the caller works on the requests
-        yielded so far.  Requests are released in order as each chunk is
-        answered.  Without a wire client each request is yielded as is.
-        """
-        requests = list(requests)
-        # (query text, doc text) -> the (request index, query id, doc id) awaiting its score
-        waiting: dict[tuple[str, str], list[tuple[int, str, str]]] = {}
-        pending = [0] * len(requests)
-        if self.client is not None:
-            for index, (query_id, query_text, docs) in enumerate(requests):
-                for doc_id, doc_text in docs:
-                    if (query_id, doc_id) not in self.scores:
-                        waiting.setdefault((query_text, doc_text), []).append((index, query_id, doc_id))
-                        pending[index] += 1
-        if not waiting:
-            yield from requests
-            return
-        ready = 0
-        with closing(self.client.answered(list(waiting))) as batches:
-            for batch in batches:
-                for key, score in batch.items():
-                    for index, query_id, doc_id in waiting[key]:
-                        self.scores.add(query_id, doc_id, score)
-                        pending[index] -= 1
-                while ready < len(requests) and not pending[ready]:
-                    yield requests[ready]
-                    ready += 1

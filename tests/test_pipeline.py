@@ -213,6 +213,24 @@ class TestRunMine:
         assert "qrel references unknown query 'q9'" in str(excinfo.value)
         assert scoring_server.calls == 0
 
+    def test_unknown_document_in_qrels_fails_before_any_query_is_retrieved(self, tmp_path, monkeypatch):
+        broken = tmp_path / "inputs"
+        shutil.copytree(PIPELINE_FIXTURE, broken)
+        with open(broken / "qrels.jsonl", "a", encoding="utf-8") as handle:
+            handle.write('{"query_id": "q2", "doc_id": "d99", "label": 1}\n')
+        config = pipeline.load_config(broken / "config.json")
+        config.paths["output_dir"] = str(tmp_path / "out")
+        retrieved = []
+        retrieve = pipeline.retrieve_query
+        monkeypatch.setattr(pipeline, "retrieve_query",
+                            lambda config, inputs, query, *args: retrieved.append(query.id)
+                            or retrieve(config, inputs, query, *args))
+        with pytest.raises(PipelineStageError) as excinfo:
+            pipeline.run_mine(config)
+        assert (excinfo.value.stage, excinfo.value.query_id) == ("mine", "q2")
+        assert "qrel references unknown document 'd99'" in str(excinfo.value)
+        assert retrieved == []
+
     @pytest.mark.parametrize("below", ["", "sub"], ids=["is-a-file", "under-a-file"])
     def test_output_dir_blocked_by_a_file_fails_before_any_post(self, tmp_path, scoring_server, below):
         (tmp_path / "taken").write_text("not a directory\n", encoding="utf-8")
@@ -521,6 +539,67 @@ class TestRunMine:
         assert server.calls == server.answered == 12
         assert len(answered_at_fuse) == 3
         assert answered_at_fuse[0] < server.answered
+
+    def test_only_pairs_missing_from_the_score_file_are_posted(self, tmp_path):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(PIPELINE_FIXTURE, inputs)
+        lines = (inputs / "reranker_scores.jsonl").read_text().splitlines()
+        (inputs / "reranker_scores.jsonl").write_text("\n".join(lines[::2]) + "\n")
+        stored = rerank.load_scores(inputs / "reranker_scores.jsonl")
+        queries = corpus_mod.load_queries(inputs / "queries.jsonl")
+        documents = corpus_mod.load_corpus(inputs / "corpus.jsonl").documents
+        missing = {(queries[q].text, documents[d].text) for q, d, _ in
+                   rerank.load_scores(PIPELINE_FIXTURE / "reranker_scores.jsonl").items() if (q, d) not in stored}
+        posted = []
+        with ScoringServer(score_fn=lambda query, doc: posted.append((query, doc)) or default_score(query, doc)
+                           ) as server:
+            config = pipeline.load_config(inputs / "config.json")
+            config.paths["output_dir"] = str(tmp_path / "out")
+            config.paths["reranker_endpoint"] = server.endpoint
+            pipeline.run_mine(config)
+        assert len(stored) == len(missing) == 12
+        assert sorted(posted) == sorted(missing)
+        # The file's scores and the wire's are merged in the written file.
+        written = rerank.load_scores(tmp_path / "out" / pipeline.RERANKER_SCORES_FILE)
+        assert len(written) == 24
+        assert all(written.score(q, d) == s for q, d, s in stored.items())
+
+    def test_queries_are_released_in_order_once_their_pairs_are_stored(self, tmp_path, monkeypatch):
+        # One pair per POST, six in flight: 24 pairs take four rounds of replies.
+        monkeypatch.setattr(rerank, "BATCH_SIZE", 1)
+        seen = []
+        score_query = pipeline.score_query
+        with ScoringServer(delay=0.05) as server:
+            def recording(config, inputs, query, lex, sem, docs):
+                assert all(inputs.gateway.scores.score(query.id, doc_id) is not None for doc_id, _ in docs)
+                seen.append((query.id, server.answered))
+                return score_query(config, inputs, query, lex, sem, docs)
+
+            monkeypatch.setattr(pipeline, "score_query", recording)
+            config = fixture_config(tmp_path)
+            config.paths["reranker_scores"] = None
+            config.paths["reranker_endpoint"] = server.endpoint
+            pipeline.run_mine(config)
+        assert [query_id for query_id, _ in seen] == ["q1", "q2", "q3"]
+        assert seen[0][1] < server.answered == 24
+
+    def test_an_error_that_stops_the_pass_cuts_no_more_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(rerank, "BATCH_SIZE", 1)
+
+        def failing(*args):
+            raise RuntimeError("scoring stopped")
+
+        monkeypatch.setattr(pipeline, "score_query", failing)
+        with ScoringServer(delay=0.1) as server:
+            config = fixture_config(tmp_path)
+            config.paths["reranker_scores"] = None
+            config.paths["reranker_endpoint"] = server.endpoint
+            with pytest.raises(RuntimeError, match="scoring stopped"):
+                pipeline.run_mine(config)
+            posted = server.calls
+            time.sleep(0.2)
+            assert server.calls == posted < 24
+            assert server.answered == posted
 
     def test_wire_failure_mid_pass_names_rerank_after_queries_were_fused(self, tmp_path, monkeypatch):
         pipeline.run_mine(fixture_config(tmp_path))
@@ -962,11 +1041,13 @@ class TestCli:
     ], ids=["infinite-tau", "infinite-tau-teacher", "lambda-above-one"])
     def test_bad_loss_flag_exit_one_before_any_output(self, tmp_path, capsys, flags, message):
         batch = tmp_path / "batch.jsonl"
-        batch.write_text('{"s_pos": 0.0, "s_neg": [0.0], "teacher": [40.0, 0.0]}\n', encoding="utf-8")
-        assert main(["loss", "--batch", str(batch), *flags]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert message in captured.err
+        # A batch with teacher scores and one without: a flag is checked whether or not it is used.
+        for line in ('{"s_pos": 0.0, "s_neg": [0.0], "teacher": [40.0, 0.0]}', '{"s_pos": 0.0, "s_neg": [0.0]}'):
+            batch.write_text(line + "\n", encoding="utf-8")
+            assert main(["loss", "--batch", str(batch), *flags]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
 
     @pytest.mark.parametrize("command", ["loss", "grad-check"])
     def test_batch_without_records_exits_one_before_any_output(self, tmp_path, capsys, command):
@@ -997,6 +1078,30 @@ class TestCli:
         assert main(["eval", "--scores", str(scores), "--json", str(json_out)]) == 0
         assert "mean(task)" in capsys.readouterr().out
         assert json.loads(json_out.read_text())[0]["model"] == "a"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--config", "/nonexistent.json", "--seed", "7", "loss", "--batch", "b.jsonl"], "--config"),
+        (["--seed", "3", "eval", "--scores", "s.jsonl"], "--seed"),
+        (["--seed", "3", "format-prompts", "--input", "q.jsonl", "--output", "p.jsonl"], "--seed"),
+        (["--config", "c.json", "dedup", "--input", "i.jsonl", "--output", "o.jsonl"], "--config"),
+    ], ids=["config-to-loss", "seed-to-eval", "seed-to-format-prompts", "config-to-dedup"])
+    def test_global_flag_a_command_does_not_read_exits_one(self, tmp_path, monkeypatch, capsys, argv, flag):
+        # Valid inputs, so the command alone would succeed.
+        inputs = {
+            "b.jsonl": '{"s_pos": 0.0, "s_neg": [0.0]}',
+            "s.jsonl": '{"model": "a", "task": "t1", "category": "c", "score": 70.0}\n'
+                       '{"model": "b", "task": "t1", "category": "c", "score": 60.0}',
+            "q.jsonl": '{"id": "q1", "text": "hello", "task": "STS12"}',
+            "i.jsonl": '{"query": "A", "positive": "A1", "task": "MSMARCO"}',
+            "c.json": "{}",
+        }
+        for name, line in inputs.items():
+            (tmp_path / name).write_text(line + "\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and flag in captured.err
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(inputs)
 
     def test_missing_config_is_validation_error(self, capsys):
         assert main(["mine"]) == 1

@@ -1,4 +1,4 @@
-"""Score files, the wire protocol client, and the caching gateway."""
+"""Score files, the wire protocol client, and the gateway that reads one run's scores."""
 
 import re
 import socket
@@ -409,55 +409,10 @@ class TestFailedExchanges:
 
 
 class TestGateway:
-    def test_fetches_only_missing_and_merges(self, tmp_path, scoring_server):
-        scores = ScoreSet()
-        scores.add("q1", "d1", 42.0)
-        gateway = RerankGateway(scores=scores, client=RerankClient(scoring_server.endpoint))
-        found = gateway.ensure_scores("q1", "query text", [("d1", "doc one"), ("d2", "doc two")])
-        assert found["d1"] == 42.0
-        assert found["d2"] == default_score("query text", "doc two")
-        # Now cached: a second call makes no further upstream requests.
-        again = gateway.ensure_scores("q1", "query text", [("d2", "doc two")])
-        assert again["d2"] == found["d2"]
-        assert scoring_server.calls == 1
-        # And the merged cache round-trips through a file.
-        path = tmp_path / "cache.jsonl"
-        path.write_text(rerank.score_lines(gateway.scores.items()), encoding="utf-8")
-        assert sorted(load_scores(path).items()) == sorted(gateway.scores.items())
-
-    def test_prefetch_yields_each_request_in_order_once_its_pairs_are_cached(self, monkeypatch):
-        # One pair per POST, six in flight: 18 misses take three rounds of replies.
-        monkeypatch.setattr(rerank, "BATCH_SIZE", 1)
-        requests = [(f"q{i}", f"query {i}", [(f"d{j}", f"doc {j}") for j in range(6)]) for i in range(4)]
-        scores = ScoreSet()
-        for doc_id, _ in requests[0][2]:
-            scores.add("q0", doc_id, 1.0)
-        with ScoringServer(delay=0.05) as server:
-            gateway = RerankGateway(scores=scores, client=RerankClient(server.endpoint))
-            seen = []
-            for request in gateway.prefetch(requests):
-                query_id, query_text, docs = request
-                assert all(gateway.scores.score(query_id, doc_id) is not None for doc_id, _ in docs)
-                seen.append((request, server.answered))
-        assert [request for request, _ in seen] == requests
-        # The cached request is out with the first round of replies, the next before the last reply.
-        assert seen[0][1] <= rerank.MAX_IN_FLIGHT
-        assert seen[1][1] < server.answered == 18
-        assert gateway.scores.score("q3", "d5") == default_score("query 3", "doc 5")
-
-    def test_closing_prefetch_early_cuts_no_more_chunks(self, monkeypatch):
-        monkeypatch.setattr(rerank, "BATCH_SIZE", 1)
-        requests = [("q0", "query", [("d0", "doc 0")]),
-                    ("q1", "query", [(f"d{j}", f"doc {j}") for j in range(1, 60)])]
-        with ScoringServer(delay=0.05) as server:
-            gateway = RerankGateway(client=RerankClient(server.endpoint))
-            fill = gateway.prefetch(requests)
-            assert next(fill) == requests[0]
-            fill.close()
-            posted = server.calls
-            time.sleep(0.2)
-            assert server.calls == posted <= 2 * rerank.MAX_IN_FLIGHT
-            assert server.answered == posted
+    def test_ensure_scores_posts_nothing(self, scoring_server):
+        gateway = RerankGateway(client=RerankClient(scoring_server.endpoint))
+        assert gateway.ensure_scores("q1", "text", [("d1", "doc")]) == {"d1": None}
+        assert scoring_server.calls == 0
 
     def test_without_client_missing_stays_none(self):
         gateway = RerankGateway()
