@@ -241,27 +241,27 @@ def save_training_records(path, records: Iterable[TrainingRecord]) -> int:
 def load_training_records(path) -> list[TrainingRecord]:
     records: list[TrainingRecord] = []
     for lineno, record in jsonl.iter_records(path):
-        try:
-            text = {field: jsonl.as_string(record[field], field, path, lineno)
-                    for field in ("task", "instruction", "query", "positive", "prompt")}
-            score = record["positive_soft_score"]
-            if score is not None:
-                score = jsonl.number(score, "positive_soft_score", path, lineno)
-            shortfall = record["shortfall"]
-            if not isinstance(shortfall, bool):
-                raise RecordError(path, lineno, f"field 'shortfall' must be a boolean, got {shortfall!r}")
-            records.append(
-                TrainingRecord(
-                    **text,
-                    positive_soft_score=score,
-                    negatives=tuple(
-                        (jsonl.as_string(n["text"], f"negatives[{i}].text", path, lineno),
-                         jsonl.number(n["score"], f"negatives[{i}].score", path, lineno))
-                        for i, n in enumerate(record["negatives"])
-                    ),
-                    shortfall=shortfall,
-                )
+        text = {field: jsonl.string(record, field, path, lineno)
+                for field in ("task", "instruction", "query", "positive", "prompt")}
+        score = jsonl.require(record, "positive_soft_score", path, lineno)
+        if score is not None:
+            score = jsonl.number(score, "positive_soft_score", path, lineno)
+        shortfall = jsonl.require(record, "shortfall", path, lineno)
+        if not isinstance(shortfall, bool):
+            raise RecordError(path, lineno, f"field 'shortfall' must be a boolean, got {shortfall!r}")
+        negatives = jsonl.require(record, "negatives", path, lineno)
+        if not isinstance(negatives, list) or not all(isinstance(n, dict) for n in negatives):
+            raise RecordError(path, lineno, "field 'negatives' must be a list of objects")
+        records.append(
+            TrainingRecord(
+                **text,
+                positive_soft_score=score,
+                negatives=tuple(
+                    (jsonl.as_string(n.get("text"), f"negatives[{i}].text", path, lineno),
+                     jsonl.number(n.get("score"), f"negatives[{i}].score", path, lineno))
+                    for i, n in enumerate(negatives)
+                ),
+                shortfall=shortfall,
             )
-        except (KeyError, TypeError) as exc:
-            raise RecordError(path, lineno, f"invalid training record: {exc}") from exc
+        )
     return records

@@ -231,11 +231,9 @@ class PipelineInputs:
 
 def _stage(name: str, query_id: str | None, fn, *args, **kwargs):
     """Call fn; an EmbkitError escapes as a PipelineStageError naming the
-    stage and query.  A PipelineStageError from a nested stage passes as is."""
+    stage and query.  No stage runs inside another."""
     try:
         return fn(*args, **kwargs)
-    except PipelineStageError:
-        raise
     except EmbkitError as exc:
         raise PipelineStageError(name, query_id, exc) from exc
 
@@ -280,8 +278,9 @@ def _receive_vectors(pid: int, data) -> list[dense.VectorStore] | None:
 
 
 def load_inputs(config: PipelineConfig) -> PipelineInputs:
-    """Load and index every input the retrieval stages need, the vector files in a forked child where
-    it can.  If the child fails in any way, they load here in their stage, so errors are a serial load's."""
+    """Load and index every input the retrieval stages need, the vector files in a forked child where it can,
+    while the rest load here.  If the child fails in any way, they load here in their stages.  Either way,
+    the first error is in stage order: corpus, queries, qrels, lexical index, scores, doc and query vectors."""
     vector_paths = [config.path("doc_vectors"), config.path("query_vectors")]
     scores_path = config.path("reranker_scores")
     with _vector_worker(vector_paths) as received:
@@ -289,16 +288,11 @@ def load_inputs(config: PipelineConfig) -> PipelineInputs:
         queries = _stage("load-queries", None, corpus_mod.load_queries, config.path("queries"))
         qrels = _stage("load-qrels", None, corpus_mod.load_qrels, config.path("qrels"))
         index = _stage("index-lexical", None, lexical.build_index, corpus.documents.values())
-        try:  # while the child still parses; the vector files come first in the stage order
-            scores = _stage("load-scores", None, rerank.load_scores, scores_path) if scores_path else rerank.ScoreSet()
-        except (EmbkitError, OSError) as exc:
-            scores = exc
+        scores = _stage("load-scores", None, rerank.load_scores, scores_path) if scores_path else rerank.ScoreSet()
         stores = received()
     if stores is None:
         stores = [_stage("load-doc-vectors", None, dense.load_vectors, vector_paths[0]),
                   _stage("load-query-vectors", None, dense.load_vectors, vector_paths[1])]
-    if isinstance(scores, Exception):
-        raise scores
     endpoint = config.path("reranker_endpoint")
     return PipelineInputs(
         corpus=corpus, queries=queries, qrels=qrels, index=index, doc_vectors=stores[0], query_vectors=stores[1],
@@ -312,7 +306,8 @@ def retrieve_query(config: PipelineConfig, inputs: PipelineInputs, query: corpus
 
     The pool is the union of both channels' top candidates plus the query's
     known positives, so the positive always carries a teacher score even
-    when neither channel retrieved it.
+    when neither channel retrieved it.  `run_mine` has checked that every
+    positive and doc vector id is a corpus id, so every pool doc has a text.
     """
     n = config["pool_size"]
     lex = _stage("search-lexical", query.id,
@@ -320,8 +315,7 @@ def retrieve_query(config: PipelineConfig, inputs: PipelineInputs, query: corpus
     sem = _stage("search-semantic", query.id,
                  lambda: dense.search_semantic(inputs.doc_vectors, inputs.query_vectors.get(query.id), n))
     pool = sorted(set(lex.doc_ids()) | set(sem.doc_ids()) | set(positives))
-    docs = _stage("rerank", query.id, lambda: [(doc_id, inputs.corpus.text(doc_id)) for doc_id in pool])
-    return lex, sem, docs
+    return lex, sem, [(doc_id, inputs.corpus.text(doc_id)) for doc_id in pool]
 
 
 def score_query(config: PipelineConfig, inputs: PipelineInputs, query: corpus_mod.Query,
@@ -422,11 +416,13 @@ def run_mine(config: PipelineConfig) -> dict:
     is absent.  Pointing `paths.reranker_scores` at it repeats the run
     without an endpoint.
 
-    Any stage failure aborts the run with the stage name and query id.  Each
-    output is written to a temp file in the output directory, fsynced, and
-    renamed into place, the manifest last, so a failed run leaves the
-    previous run's files as they were.  An invalid config is rejected before
-    any input is read.  Returns the manifest.
+    Any stage failure aborts the run with the stage name and query id; an
+    invalid config fails before any input is read, and an unknown id in the
+    qrels or doc vectors before any query is retrieved.  Each output is
+    written to a temp file in the output directory, fsynced, and renamed
+    into place, the manifest last.  Any exception, an interrupt included,
+    removes the temp files, and one before the first rename leaves the
+    previous run's files as they were.  Returns the manifest.
     """
     require_valid(validate_config(config))
     inputs = load_inputs(config)
@@ -442,6 +438,9 @@ def run_mine(config: PipelineConfig) -> dict:
                 "mine", qrel.query_id, ValidationError(f"qrel references unknown document '{qrel.doc_id}'")
             )
         positives_by_query.setdefault(qrel.query_id, []).append(qrel.doc_id)
+    unknown = next((doc_id for doc_id in inputs.doc_vectors.ids if doc_id not in inputs.corpus.documents), None)
+    if unknown is not None:
+        raise PipelineStageError("mine", None, ValidationError(f"doc vector references unknown document '{unknown}'"))
     teacher_sets, reranker_lines = score_all_queries(config, inputs, positives_by_query)
     mining_config = config.mining_config()
     score_source = config["score_source"]
@@ -490,7 +489,7 @@ def run_mine(config: PipelineConfig) -> dict:
                 os.fsync(handle.fileno())
         for name, path in temp.items():  # the manifest last
             os.replace(path, output_dir / name)
-    except Exception:
+    except BaseException:
         for partial in temp.values():
             partial.unlink(missing_ok=True)
         raise

@@ -147,6 +147,15 @@ def no_process_outlives_its_test():
     assert not left, f"child processes left: {left}"
 
 
+@pytest.fixture(autouse=True)
+def no_temp_file_outlives_its_test(request):
+    """Fail a test that leaves a `.*.tmp` file, such as an output's temp file, under its tmp_path."""
+    tmp_path = request.getfixturevalue("tmp_path") if "tmp_path" in request.fixturenames else None
+    yield
+    left = sorted(str(path.relative_to(tmp_path)) for path in tmp_path.rglob(".*.tmp")) if tmp_path else []
+    assert not left, f"temp files left: {left}"
+
+
 @pytest.fixture
 def scoring_server():
     with ScoringServer() as server:

@@ -235,6 +235,10 @@ def test_training_record_file_roundtrip(tmp_path):
     assert load_training_records(path) == [record, bare]
 
 
+GOOD_RECORD = {"task": "MSMARCO", "instruction": "i", "query": "q", "positive": "p", "positive_soft_score": 0.5,
+               "negatives": [{"text": "a", "score": 0.4}], "prompt": "Instruct: i\nQuery: q</s>", "shortfall": False}
+
+
 @pytest.mark.parametrize("field, record", [
     ("positive_soft_score", {"positive_soft_score": "x"}),
     ("positive_soft_score", {"positive_soft_score": "1.5"}),
@@ -255,10 +259,21 @@ def test_training_record_file_roundtrip(tmp_path):
         "null-negative", "nan-negative", "int-task", "null-instruction", "list-query", "float-positive",
         "object-prompt", "int-negative-text", "string-shortfall", "int-shortfall"])
 def test_training_record_file_bad_score_names_line_and_field(tmp_path, field, record):
-    good = {"task": "MSMARCO", "instruction": "i", "query": "q", "positive": "p", "positive_soft_score": 0.5,
-            "negatives": [{"text": "a", "score": 0.4}], "prompt": "Instruct: i\nQuery: q</s>", "shortfall": False}
     path = tmp_path / "records.jsonl"
-    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **record}) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(GOOD_RECORD) + "\n" + json.dumps({**GOOD_RECORD, **record}) + "\n", encoding="utf-8")
     with pytest.raises(RecordError, match=rf"records.jsonl:2: field '{re.escape(field)}'"):
         load_training_records(path)
 
+
+@pytest.mark.parametrize("record, message", [
+    ({key: value for key, value in GOOD_RECORD.items() if key != "task"}, "missing required field 'task'"),
+    ({**GOOD_RECORD, "negatives": 5}, "field 'negatives' must be a list of objects"),
+    ({**GOOD_RECORD, "negatives": ["abc"]}, "field 'negatives' must be a list of objects"),
+    ({**GOOD_RECORD, "negatives": [{"text": "a"}]}, "field 'negatives[0].score' must be a finite number, got None"),
+], ids=["missing-task", "int-negatives", "string-negative", "negative-without-score"])
+def test_training_record_file_bad_shape_names_line_and_field(tmp_path, record, message):
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(GOOD_RECORD) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(RecordError) as excinfo:
+        load_training_records(path)
+    assert str(excinfo.value) == f"{path}:2: {message}"

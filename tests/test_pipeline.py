@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import shutil
 import signal
@@ -231,6 +232,51 @@ class TestRunMine:
         assert "qrel references unknown document 'd99'" in str(excinfo.value)
         assert retrieved == []
 
+    @pytest.mark.parametrize("vector", [[1.8, 0.2, 0.0, 0.0], [-1.0, -1.0, -1.0, -1.0]],
+                             ids=["retrieved", "never-retrieved"])
+    def test_unknown_document_in_doc_vectors_fails_before_any_post(self, tmp_path, scoring_server, vector):
+        """d9 is scaled from d1, so q1 retrieves it, or points away from every query, so with
+        pool_size 2 none does; d0 follows it, so the first unknown id in file order is named."""
+        config = pipeline.load_config(copy_fixture(tmp_path, doc_vectors=lambda text: text + "".join(
+            json.dumps({"id": doc_id, "vector": v}) + "\n" for doc_id, v in [("d9", vector), ("d0", [-1.0] * 4)])))
+        config.settings["pool_size"] = 2
+        config.paths["reranker_scores"] = None
+        config.paths["reranker_endpoint"] = scoring_server.endpoint
+        with pytest.raises(PipelineStageError) as excinfo:
+            pipeline.run_mine(config)
+        assert (excinfo.value.stage, excinfo.value.query_id) == ("mine", None)
+        assert str(excinfo.value) == "stage 'mine': doc vector references unknown document 'd9'"
+        assert scoring_server.calls == 0
+
+    @pytest.mark.parametrize("wire", [False, True], ids=["score-file", "endpoint"])
+    def test_shuffled_input_lines_write_the_same_data_files(self, tmp_path, scoring_server, wire):
+        """Shuffling the lines of all six input files changes no byte of the four data files."""
+        names = ("corpus", "queries", "qrels", "doc_vectors", "query_vectors", "reranker_scores")
+
+        def data_files(config_path):
+            config = pipeline.load_config(config_path)
+            if wire:
+                config.paths["reranker_scores"] = None
+                config.paths["reranker_endpoint"] = scoring_server.endpoint
+            pipeline.run_mine(config)
+            written = output_bytes(Path(config.path("output_dir")))
+            written.pop(pipeline.MANIFEST_FILE)  # it digests the inputs
+            return written
+
+        def shuffle(rng):
+            def edit(text):
+                lines = text.splitlines()
+                rng.shuffle(lines)
+                return "\n".join(lines) + "\n"
+            return edit
+
+        expected = data_files(copy_fixture(tmp_path / "unshuffled"))
+        for seed in (1, 2, 3):
+            rng = random.Random(seed)
+            shuffled = copy_fixture(tmp_path / f"seed-{seed}", **{name: shuffle(rng) for name in names})
+            assert (shuffled.parent / "corpus.jsonl").read_text() != (PIPELINE_FIXTURE / "corpus.jsonl").read_text()
+            assert data_files(shuffled) == expected, f"seed {seed}"
+
     @pytest.mark.parametrize("below", ["", "sub"], ids=["is-a-file", "under-a-file"])
     def test_output_dir_blocked_by_a_file_fails_before_any_post(self, tmp_path, scoring_server, below):
         (tmp_path / "taken").write_text("not a directory\n", encoding="utf-8")
@@ -421,17 +467,27 @@ class TestRunMine:
             pipeline.run_mine(config)
         assert excinfo.value.stage == "emit"
 
-    def test_partial_output_removed_on_write_failure(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()], ids=["os-error", "interrupt"])
+    def test_partial_output_removed_on_write_failure(self, tmp_path, monkeypatch, error):
         config = fixture_config(tmp_path)
+        save_mined = pipeline.mining.save_mined
 
         def boom(path, mined):
-            raise OSError("disk full")
+            raise error
 
         monkeypatch.setattr(pipeline.mining, "save_mined", boom)
-        with pytest.raises(OSError):
+        with pytest.raises(type(error)):
             pipeline.run_mine(config)
         out = tmp_path / "out"
         assert not any(out.iterdir())
+        monkeypatch.setattr(pipeline.mining, "save_mined", save_mined)
+        pipeline.run_mine(config)
+        before = output_bytes(out)
+        monkeypatch.setattr(pipeline.mining, "save_mined", boom)
+        with pytest.raises(type(error)):
+            pipeline.run_mine(fixture_config(tmp_path, rrf_k=70))
+        assert output_bytes(out) == before
+        assert sorted(p.name for p in out.iterdir()) == sorted(before)
 
     def test_failed_rerun_keeps_previous_outputs(self, tmp_path, monkeypatch):
         config = fixture_config(tmp_path)
@@ -696,6 +752,19 @@ def mine_outcome(config_path, monkeypatch, capsys, worker: bool):
     return bool(forks), (code, err, type(exc), str(exc), getattr(exc, "stage", None), getattr(exc, "query_id", None))
 
 
+# Each load stage, in the order they fail, with an input file and an edit of it that fails that stage
+# and no earlier one.
+BREAKS = {
+    "load-corpus": ("corpus", lambda text: text + '{"id": "d9"}\n'),
+    "load-queries": ("queries", lambda text: text + '{"id": "q9", "text": "moon"}\n'),
+    "load-qrels": ("qrels", lambda text: text + '{"query_id": "q1", "doc_id": "d1", "label": 0}\n'),
+    "index-lexical": ("corpus", lambda text: ""),
+    "load-scores": ("reranker_scores", lambda text: text + '{"query_id": "q1", "doc_id": "d1"}\n'),
+    "load-doc-vectors": ("doc_vectors", lambda text: text + '{"id": "d9", "vector": [0.1, "x", 0.0, 0.0]}\n'),
+    "load-query-vectors": ("query_vectors", lambda text: ""),
+}
+
+
 @pytest.mark.skipif(not hasattr(os, "memfd_create"), reason="the vector worker needs os.fork and os.memfd_create")
 class TestVectorWorker:
     """`load_inputs` parses the vector files in a forked child where it can."""
@@ -767,7 +836,7 @@ class TestVectorWorker:
           "doc_vectors": lambda text: text + '{"id": "d9", "vector": [true]}\n'}, "load-corpus"),
         ({"reranker_scores": lambda text: text + '{"query_id": "q1", "doc_id": "d1"}\n'}, "load-scores"),
         ({"reranker_scores": lambda text: text + '{"query_id": "q1", "doc_id": "d1"}\n',
-          "query_vectors": lambda text: ""}, "load-query-vectors"),
+          "query_vectors": lambda text: ""}, "load-scores"),
     ], ids=["bad-doc-vector-line", "bad-query-vector-line", "empty-doc-vectors", "blank-query-vectors",
             "bad-corpus-and-doc-vectors", "bad-score-line", "bad-scores-and-empty-query-vectors"])
     def test_worker_failure_reports_the_serial_error(self, tmp_path, monkeypatch, capsys, edits, stage):
@@ -777,6 +846,20 @@ class TestVectorWorker:
         assert (serial_forked, forked) == (False, True)
         assert outcome == serial
         assert outcome[0] == 2 and outcome[4] == stage and outcome[5] is None
+
+    @pytest.mark.parametrize("worker", [False, True], ids=["serial", "forked"])
+    def test_inputs_fail_in_one_stage_order(self, tmp_path, monkeypatch, worker):
+        """With every stage from one on broken, that one is reported, forked or not."""
+        forks, order = use_worker(monkeypatch, worker), list(BREAKS)
+        for first, stage in enumerate(order):
+            edits = {}
+            for later in reversed(order[first:]):  # an earlier stage's edit of a file wins
+                name, edit = BREAKS[later]
+                edits[name] = edit
+            config = pipeline.load_config(copy_fixture(tmp_path / stage, **edits))
+            with pytest.raises(PipelineStageError) as excinfo:
+                pipeline.load_inputs(config)
+            assert (excinfo.value.stage, len(forks)) == (stage, first + 1 if worker else 0)
 
     @pytest.mark.parametrize("name", ["doc_vectors", "query_vectors"])
     def test_unreadable_vector_file_reports_the_serial_error(self, tmp_path, monkeypatch, capsys, name):
