@@ -84,9 +84,6 @@ class InstructionRegistry:
     def __init__(self):
         self.entries: dict[str, str] = dict(BUILTIN_INSTRUCTIONS)
 
-    def __contains__(self, task: str) -> bool:
-        return task in self.entries
-
     def instruction_for(self, task: str) -> str:
         if task not in self.entries:
             known = ", ".join(sorted(self.entries))

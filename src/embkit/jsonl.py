@@ -36,12 +36,20 @@ def parse(data: bytes) -> Any:
     """The JSON value that data holds, or ValueError.
 
     That covers bytes that are not UTF-8, text that is not JSON, an integer
-    longer than Python's digit limit and nesting too deep to decode.
+    longer than Python's digit limit, nesting too deep to decode and a
+    string (a key or a value) holding a lone surrogate, which UTF-8 cannot
+    encode.  Only a \\u escape can make one, so only then is the value
+    encoded again to look for one.
     """
     try:
-        return json.loads(data.decode("utf-8"))
+        value = json.loads(data.decode("utf-8"))
+        if b"\\u" in data:  # encoding recurses no deeper than decoding did
+            _ENCODER.encode(value).encode("utf-8")
     except RecursionError as exc:
         raise ValueError("nested too deeply") from exc
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"lone surrogate {exc.object[exc.start]!r} in a string") from None
+    return value
 
 
 def iter_records(path) -> Records:

@@ -353,9 +353,9 @@ def score_all_queries(config: PipelineConfig, inputs: PipelineInputs, positives_
     gateway's scores is posted in one client pass of full batches and its
     answer stored, and each query is reranked, fused and its lines rendered,
     in query order, as soon as its pairs are stored, while the rest of the
-    pass is still in flight.  A wire failure names stage `rerank` and no
-    query; it is raised in place of the failure of a query fused before it,
-    which waits for the end of the pass.  Any other error stops the pass.
+    pass is still in flight.  The first failure ends the pass where it is
+    raised, and no batch is cut after it; a wire failure names stage
+    `rerank` and no query.
     """
     queries = list(inputs.queries.values())
     retrieved = {query.id: retrieve_query(config, inputs, query, positives_by_query.get(query.id, []))
@@ -390,21 +390,11 @@ def score_all_queries(config: PipelineConfig, inputs: PipelineInputs, positives_
 
     teacher_sets: dict[str, fusion.TeacherScoreSet] = {}
     lines: dict[str, str] = {}
-    failure: PipelineStageError | None = None
     with closing(filled()) as ready:
         for query in ready:
-            if failure is not None:
-                continue
-            try:
-                teacher = score_query(config, inputs, query, *retrieved[query.id])
-            except PipelineStageError as exc:
-                failure = exc
-                continue
-            teacher_sets[query.id] = teacher
+            teacher = teacher_sets[query.id] = score_query(config, inputs, query, *retrieved[query.id])
             lines[query.id] = rerank.score_lines(
                 (query.id, doc_id, score) for doc_id, score in sorted(teacher.reranker().items()))
-    if failure is not None:
-        raise failure
     return teacher_sets, lines
 
 

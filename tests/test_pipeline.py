@@ -639,19 +639,24 @@ class TestRunMine:
         assert [query_id for query_id, _ in seen] == ["q1", "q2", "q3"]
         assert seen[0][1] < server.answered == 24
 
-    def test_an_error_that_stops_the_pass_cuts_no_more_chunks(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("error", [
+        RuntimeError("scoring stopped"),
+        PipelineStageError("fuse", "q1", ValidationError("scoring stopped")),
+    ], ids=["other-error", "stage-error"])
+    def test_an_error_that_stops_the_pass_cuts_no_more_chunks(self, tmp_path, monkeypatch, error):
         monkeypatch.setattr(rerank, "BATCH_SIZE", 1)
 
         def failing(*args):
-            raise RuntimeError("scoring stopped")
+            raise error
 
         monkeypatch.setattr(pipeline, "score_query", failing)
         with ScoringServer(delay=0.1) as server:
             config = fixture_config(tmp_path)
             config.paths["reranker_scores"] = None
             config.paths["reranker_endpoint"] = server.endpoint
-            with pytest.raises(RuntimeError, match="scoring stopped"):
+            with pytest.raises(type(error), match="scoring stopped") as excinfo:
                 pipeline.run_mine(config)
+            assert excinfo.value is error
             posted = server.calls
             time.sleep(0.2)
             assert server.calls == posted < 24
@@ -681,17 +686,14 @@ class TestRunMine:
                 calls_after_last_answer = server.calls
             return 1.0
 
-        # A scoring error of a query fused before the failure must not pre-empt it.
         fused = []
         build = pipeline.fusion.build_teacher_scores
 
-        def failing_build(query, *args):
+        def recording_build(query, *args):
             fused.append((query.id, server.calls))
-            if query.id == "q1":
-                raise ValidationError("q1 does not fuse")
             return build(query, *args)
 
-        monkeypatch.setattr(pipeline.fusion, "build_teacher_scores", failing_build)
+        monkeypatch.setattr(pipeline.fusion, "build_teacher_scores", recording_build)
         with ScoringServer(score_fn=score_fn, delay=0.1, fail_from=19) as server:
             config = fixture_config(tmp_path, rrf_k=70)
             config.paths["reranker_scores"] = None
@@ -700,8 +702,8 @@ class TestRunMine:
                 pipeline.run_mine(config)
         assert (excinfo.value.stage, excinfo.value.query_id) == ("rerank", None)
         assert isinstance(excinfo.value.cause, RerankTransportError)
-        # q1 was fused before any request was refused, and no other query after its error.
-        assert [query_id for query_id, _ in fused] == ["q1"]
+        # q1 was fused before any request was refused.
+        assert fused[0][0] == "q1"
         assert fused[0][1] < 19
         assert server.answered == 18
         # No chunk was cut once a failure was known.
@@ -1189,3 +1191,98 @@ class TestCli:
     def test_missing_config_is_validation_error(self, capsys):
         assert main(["mine"]) == 1
         assert "--config" in capsys.readouterr().err
+
+    def test_config_that_is_not_an_object_exit_one(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[]", encoding="utf-8")
+        assert main(["--config", str(config), "mine"]) == 1
+        assert capsys.readouterr().err == f"error: {config}: config must be a JSON object\n"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("corpus", None, "paths.corpus: required"),
+        ("reranker_scores", "absent.jsonl", "paths.reranker_scores: no such file: "),
+        ("output_dir", None, "paths.output_dir: required"),
+    ], ids=["no-corpus", "scores-not-a-file", "no-output-dir"])
+    def test_unusable_path_exit_one_before_any_input_is_read(self, tmp_path, monkeypatch, capsys, key, value,
+                                                               message):
+        raw = json.loads(self.write_config(tmp_path).read_text())
+        raw["paths"][key] = value
+        if value is None:
+            del raw["paths"][key]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+
+        def unread(config):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr(pipeline, "load_inputs", unread)
+        assert main(["--config", str(config), "mine"]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_dedup_subcommand_reads_expanded_pairs(self, tmp_path):
+        src = tmp_path / "pairs.jsonl"
+        src.write_text(
+            '{"query": "A", "positive": "A1", "task": "MSMARCO"}\n'
+            '{"query": "A", "positive": "A2", "task": "MSMARCO"}\n'
+            '{"query": "A", "positive": "A1", "task": "MSMARCO"}\n',
+            encoding="utf-8",
+        )
+        dst = tmp_path / "unique.jsonl"
+        assert main(["dedup", "--input", str(src), "--output", str(dst)]) == 0
+        lines = [json.loads(line) for line in dst.read_text().splitlines()]
+        assert [(l["query"], l["positive"]) for l in lines] == [("A", "A1"), ("A", "A2")]
+
+    def test_format_prompts_registry_overrides_an_instruction(self, tmp_path):
+        src = tmp_path / "queries.jsonl"
+        src.write_text('{"id": "q1", "text": "hello", "task": "STS12"}\n'
+                       '{"id": "q2", "text": "world", "task": "MyTask"}\n', encoding="utf-8")
+        registry = tmp_path / "registry.jsonl"
+        registry.write_text('{"task": "STS12", "instruction": "Custom."}\n'
+                            '{"task": "MyTask", "instruction": "Do the thing."}\n', encoding="utf-8")
+        dst = tmp_path / "prompts.jsonl"
+        assert main(["format-prompts", "--input", str(src), "--output", str(dst), "--registry", str(registry)]) == 0
+        rows = [json.loads(line) for line in dst.read_text().splitlines()]
+        assert [row["prompt"] for row in rows] == ["Instruct: Custom.\nQuery: hello</s>",
+                                                   "Instruct: Do the thing.\nQuery: world</s>"]
+
+    @pytest.mark.parametrize("char", ["\ud800", "\U0001f600"], ids=["lone-surrogate", "surrogate-pair"])
+    @pytest.mark.parametrize("case", ["corpus-text", "mine-eos-marker", "nli-premise", "format-prompts-eos-marker"])
+    def test_lone_surrogate_escape_fails_where_it_is_read(self, tmp_path, capsys, case, char):
+        # json.dumps writes char as a \u escape: one for the lone surrogate, a pair for the emoji.
+        inputs = tmp_path / "inputs"
+        shutil.copytree(PIPELINE_FIXTURE, inputs)
+        raw = json.loads((inputs / "config.json").read_text())
+        raw["paths"]["output_dir"] = str(tmp_path / "out")
+        if case == "mine-eos-marker":
+            raw["prompt"]["eos_marker"] = char
+        (inputs / "config.json").write_text(json.dumps(raw))
+        if case == "corpus-text":
+            lines = (inputs / "corpus.jsonl").read_text().splitlines(keepends=True)
+            lines[0] = json.dumps({"id": "d1", "text": "the mars rover" + char}) + "\n"
+            (inputs / "corpus.jsonl").write_text("".join(lines))
+        nli = tmp_path / "nli.jsonl"
+        nli.write_text(json.dumps({"premise": "p" + char, "hypothesis": "h", "label": "entailment"}) + "\n")
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps({"prompt": {"eos_marker": char}}))
+        output = tmp_path / "output.jsonl"
+        argv, path, failure = {
+            "corpus-text": (["--config", str(inputs / "config.json"), "mine"], tmp_path / "out",
+                            f"error: stage 'load-corpus': {inputs / 'corpus.jsonl'}:1: malformed JSON: "),
+            "mine-eos-marker": (["--config", str(inputs / "config.json"), "mine"], tmp_path / "out",
+                                f"error: {inputs / 'config.json'}: invalid JSON: "),
+            "nli-premise": (["convert-nli", "--input", str(nli), "--output", str(output)], output,
+                            f"error: {nli}:1: malformed JSON: "),
+            "format-prompts-eos-marker": (["--config", str(settings), "format-prompts", "--input",
+                                           str(inputs / "queries.jsonl"), "--output", str(output)], output,
+                                          f"error: {settings}: invalid JSON: "),
+        }[case]
+        code = main(argv)
+        err = capsys.readouterr().err
+        if char == "\ud800":
+            assert code == (2 if case == "corpus-text" else 1)
+            assert err == failure + "lone surrogate '\\ud800' in a string\n"
+            assert not path.exists()
+        else:
+            assert (code, err) == (0, "")
+            assert path.exists()

@@ -113,13 +113,14 @@ class TestWireProtocol:
     @pytest.mark.parametrize("reply, message", [
         ((413, {"error": "batch too large"}), "without declaring a limit"),
         ((413, b"<html>Request Entity Too Large</html>"), "without declaring a limit"),
+        ((413, {"error": "batch too large", "max_batch_size": 1}), "rejected batch of 1 but declares limit 1"),
         ((400, {"error": "bad request"}), "HTTP 400"),
         ((200, {"result": [1.0]}), "missing the 'scores' field"),
         ((200, b"not json"), "response is not JSON"),
         ((200, b"\xff\xfe"), "response is not JSON"),
         ((200, b"[" * 100_000 + b"]" * 100_000), "response is not JSON"),
-    ], ids=["413-no-limit", "413-non-json-body", "400", "200-no-scores", "200-not-json", "200-not-utf8",
-            "200-deep-nesting"])
+    ], ids=["413-no-limit", "413-non-json-body", "413-limit-not-below-batch", "400", "200-no-scores",
+            "200-not-json", "200-not-utf8", "200-deep-nesting"])
     def test_bad_reply_is_protocol_error_after_one_post(self, reply, message, monkeypatch):
         monkeypatch.setattr(rerank, "RETRY_WAIT", 0.01)
         with ScoringServer() as server:
