@@ -25,6 +25,7 @@ from .ranking import (
     CHANNEL_RERANKER,
     CHANNEL_SEMANTIC,
     RankedList,
+    top_n,
 )
 
 DEFAULT_RRF_K = 60.0
@@ -89,8 +90,7 @@ def rrf_fuse(lists: Sequence[RankedList], k: float = DEFAULT_RRF_K) -> RankedLis
         for rank, (doc_id, _) in enumerate(ranked.entries, start=1):
             terms.setdefault(doc_id, []).append(1.0 / (k + rank))
     scores = {doc_id: math.fsum(doc_terms) for doc_id, doc_terms in terms.items()}
-    ordered = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    return RankedList(entries=tuple(ordered), channel=CHANNEL_FUSED)
+    return top_n(list(scores), list(scores.values()), max(len(scores), 1), CHANNEL_FUSED)
 
 
 def build_teacher_scores(

@@ -204,11 +204,6 @@ def blended_loss(batch: SimBatch, teacher: TeacherDistribution, blend: float = 0
     return blend * infonce_loss(batch) + (1.0 - blend) * soft_distill_loss(batch, teacher)
 
 
-def blended_grad(batch: SimBatch, teacher: TeacherDistribution, blend: float = 0.5) -> np.ndarray:
-    check_blend(blend)
-    return blend * infonce_grad(batch) + (1.0 - blend) * soft_distill_grad(batch, teacher)
-
-
 def flatten_sims(batch: SimBatch) -> np.ndarray:
     """All positives, then each query's negatives, as one coordinate vector."""
     return np.concatenate([batch.sims_pos] + list(batch.sims_neg))

@@ -27,6 +27,7 @@ from typing import Iterable
 from . import jsonl
 from .errors import ValidationError, is_integer, number_problems
 from .fusion import TeacherScoreSet
+from .ranking import CHANNEL_FUSED, CHANNEL_RERANKER, top_n
 
 SCORE_SOURCE_FUSED = "fused"
 SCORE_SOURCE_RERANKER = "reranker"
@@ -116,9 +117,9 @@ def filter_candidates(
     the candidate set, so a positive absent from it is an error.
     """
     if score_source == SCORE_SOURCE_FUSED:
-        scored = candidates.fused()
+        scored, channel = candidates.fused(), CHANNEL_FUSED
     elif score_source == SCORE_SOURCE_RERANKER:
-        scored = candidates.reranker()
+        scored, channel = candidates.reranker(), CHANNEL_RERANKER
     else:
         raise ValidationError(f"unknown score source '{score_source}'")
 
@@ -131,18 +132,14 @@ def filter_candidates(
     threshold = margin_threshold(
         positive_score, margin, f"positive '{positive_id}' of query '{candidates.query_id}'")
     labelled = {positive_id, *positives}
-    survivors = [
-        (doc_id, score)
-        for doc_id, score in scored.items()
-        if doc_id not in labelled and score <= threshold
-    ]
-    survivors.sort(key=lambda item: (-item[1], item[0]))
+    kept = {doc_id: score for doc_id, score in scored.items() if doc_id not in labelled and score <= threshold}
+    survivors = top_n(list(kept), list(kept.values()), max(len(kept), 1), channel).entries
     return CandidatePool(
         query_id=candidates.query_id,
         positive_id=positive_id,
         positive_score=positive_score,
         threshold=threshold,
-        survivors=tuple(survivors),
+        survivors=survivors,
     )
 
 

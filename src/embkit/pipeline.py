@@ -17,7 +17,9 @@ import hashlib
 import json
 import os
 import pickle
+import shutil
 import signal
+import sys
 import threading
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
@@ -52,6 +54,9 @@ MINED_FILE = "mined_negatives.jsonl"
 TEACHER_SCORES_FILE = "teacher_scores.jsonl"
 RERANKER_SCORES_FILE = "reranker_scores.jsonl"
 MANIFEST_FILE = "manifest.json"
+DATA_FILES = (TRAINING_RECORDS_FILE, MINED_FILE, TEACHER_SCORES_FILE, RERANKER_SCORES_FILE)
+OUTPUT_FILES = (*DATA_FILES, MANIFEST_FILE)  # in rename order, the manifest last
+PREVIOUS_DIR = ".previous"  # the last finished run's outputs while a run swaps its own in
 
 
 @dataclass
@@ -198,6 +203,8 @@ def validate_paths(config: PipelineConfig) -> list[str]:
     output_dir = config.path("output_dir")
     if output_dir is None:
         return errors + ["paths.output_dir: required"]
+    if "\0" in output_dir:
+        return errors + ["paths.output_dir: must not contain a NUL character"]
     # The nearest part of the path that exists must be a directory, or mkdir fails after every query is scored.
     nearest = next(path for path in (Path(output_dir), *Path(output_dir).parents) if os.path.lexists(path))
     if not os.path.isdir(nearest):
@@ -208,6 +215,29 @@ def validate_paths(config: PipelineConfig) -> list[str]:
             errors.append(f"paths.output_dir: its {RERANKER_SCORES_FILE} is the input paths.reranker_scores, "
                           "which the run would replace")
     return errors
+
+
+def _restore_previous(output_dir: Path) -> bool:
+    """Relink each output from `output_dir/.previous/`, or remove it if not saved there; False if none."""
+    if not (output_dir / PREVIOUS_DIR).is_dir():
+        return False
+    for name in OUTPUT_FILES:
+        (output_dir / name).unlink(missing_ok=True)
+        if (output_dir / PREVIOUS_DIR / name).exists():
+            os.link(output_dir / PREVIOUS_DIR / name, output_dir / name)
+    _drop_previous(output_dir)
+    return True
+
+
+def _drop_previous(output_dir: Path) -> None:
+    """Fsync `output_dir`, so its renames are on disk, then remove `.previous/` by one rename."""
+    fd = os.open(output_dir, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+    (output_dir / PREVIOUS_DIR).rename(output_dir / f"{PREVIOUS_DIR}.tmp")
+    shutil.rmtree(output_dir / f"{PREVIOUS_DIR}.tmp")
 
 
 def _digest_file(path) -> str:
@@ -409,12 +439,19 @@ def run_mine(config: PipelineConfig) -> dict:
     Any stage failure aborts the run with the stage name and query id; an
     invalid config fails before any input is read, and an unknown id in the
     qrels or doc vectors before any query is retrieved.  Each output is
-    written to a temp file in the output directory, fsynced, and renamed
-    into place, the manifest last.  Any exception, an interrupt included,
-    removes the temp files, and one before the first rename leaves the
-    previous run's files as they were.  Returns the manifest.
+    written to a temp file in the output directory and fsynced.  The
+    previous run's outputs are hard-linked into `output_dir/.previous/`,
+    the temp files are renamed into place, the manifest last, the directory
+    is fsynced and `.previous/` is removed.  Any exception, an interrupt
+    included, removes the temp files and puts the previous run's files
+    back, so a failed run leaves them byte for byte as they were.  A run
+    killed during the swap leaves `.previous/`, which the next run restores
+    before it reads any input, saying so on stderr.  Returns the manifest.
     """
     require_valid(validate_config(config))
+    output_dir = Path(config.path("output_dir"))
+    if _restore_previous(output_dir):
+        print(f"embkit: restored the last finished run's outputs from {PREVIOUS_DIR}/", file=sys.stderr)
     inputs = load_inputs(config)
     qrels = sorted(inputs.qrels, key=lambda r: (r.query_id, r.doc_id))
     positives_by_query: dict[str, list[str]] = {}  # each query's qrel doc ids
@@ -447,10 +484,9 @@ def run_mine(config: PipelineConfig) -> dict:
         )
     ))
 
-    output_dir = Path(config.path("output_dir"))
     output_dir.mkdir(parents=True, exist_ok=True)
-    data = (TRAINING_RECORDS_FILE, MINED_FILE, TEACHER_SCORES_FILE, RERANKER_SCORES_FILE)
-    temp = {name: output_dir / f".{name}.{os.getpid()}.tmp" for name in (*data, MANIFEST_FILE)}
+    temp = {name: output_dir / f".{name}.{os.getpid()}.tmp" for name in OUTPUT_FILES}
+    staged = output_dir / f"{PREVIOUS_DIR}.tmp"  # a killed run can leave it
     try:
         save_training_records(temp[TRAINING_RECORDS_FILE], records)
         mining.save_mined(temp[MINED_FILE], mined)
@@ -468,7 +504,7 @@ def run_mine(config: PipelineConfig) -> dict:
                 for key in (*_INPUT_PATH_KEYS, "reranker_scores")
                 if config.path(key)
             },
-            "outputs": {name: _digest_file(temp[name]) for name in data},
+            "outputs": {name: _digest_file(temp[name]) for name in DATA_FILES},
             "counts": {"queries": len(inputs.queries), "pairs": len(mined)},
         }
         with open(temp[MANIFEST_FILE], "w", encoding="utf-8") as handle:
@@ -477,9 +513,18 @@ def run_mine(config: PipelineConfig) -> dict:
         for path in temp.values():  # on disk before any rename, so no rename can expose a short file
             with open(path, "rb+") as handle:
                 os.fsync(handle.fileno())
+        shutil.rmtree(staged, ignore_errors=True)
+        staged.mkdir()
+        for name in OUTPUT_FILES:
+            if (output_dir / name).exists():
+                os.link(output_dir / name, staged / name)
+        staged.rename(output_dir / PREVIOUS_DIR)  # whole before the first rename
         for name, path in temp.items():  # the manifest last
             os.replace(path, output_dir / name)
+        _drop_previous(output_dir)
     except BaseException:
+        _restore_previous(output_dir)
+        shutil.rmtree(staged, ignore_errors=True)
         for partial in temp.values():
             partial.unlink(missing_ok=True)
         raise

@@ -1,4 +1,4 @@
-"""Ranked result lists shared by the lexical, dense, reranker, and fusion stages."""
+"""Ranked result lists shared by the lexical, dense, reranker, fusion and mining stages."""
 
 from __future__ import annotations
 
@@ -58,9 +58,11 @@ class RankedList:
 def top_n(ids: Sequence[str], scores, n: int, channel: str) -> RankedList:
     """Rank ids by descending score, ties broken by ascending id, keep n.
 
-    `scores` is aligned with `ids`.  A partial sort finds the n-th largest
-    score and only the ids scoring at or above it are fully sorted, so an id
-    tied at the cut competes on id exactly as in a sort of every id.
+    This is the one place that order is defined: retrieval, fusion and the
+    margin filter all rank through it.  `scores` is aligned with `ids`.  A
+    partial sort finds the n-th largest score and only the ids scoring at or
+    above it are fully sorted, so an id tied at the cut competes on id
+    exactly as in a sort of every id.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")

@@ -9,7 +9,6 @@ from embkit.errors import RecordError, ValidationError
 from embkit.loss import (
     SimBatch,
     TeacherDistribution,
-    blended_grad,
     blended_loss,
     cosine_sim,
     distill_grad_check,
@@ -208,20 +207,6 @@ class TestGradCheck:
             teacher = random_teacher(rng, b)
             worst = max(worst, distill_grad_check(b, teacher, eps=1e-5))
         assert worst < 1e-4
-
-    def test_blended_gradient_matches_fd(self):
-        from embkit.loss import grad_check
-
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            b = random_batch(rng, max_queries=4)
-            teacher = random_teacher(rng, b)
-            err = grad_check(
-                lambda x: blended_loss(x, teacher, 0.3),
-                lambda x: blended_grad(x, teacher, 0.3),
-                b,
-            )
-            assert err < 1e-4
 
     def test_eps_range_enforced(self):
         b = batch([0.0], [[0.0]])

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from embkit.errors import ValidationError
 from embkit.fusion import Candidate, TeacherScoreSet
@@ -158,6 +158,30 @@ def test_no_mined_negative_is_a_qrel_positive_of_its_query(rows, margin, score_s
             assert score_source == "reranker"
             continue
         assert not {doc_id for doc_id, _ in mined.negatives} & set(positives)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.dictionaries(st.text("abxy", min_size=1, max_size=3),
+                         st.tuples(st.sampled_from([0.01, 0.02, 0.03]), st.sampled_from([None, 1.0, 2.0, 3.0])),
+                         min_size=1, max_size=12),
+    margin=st.sampled_from([0.5, 2 / 3, 1.0]),
+    score_source=st.sampled_from(["fused", "reranker"]),
+    data=st.data(),
+)
+def test_tied_survivors_rank_by_score_then_doc_id(rows, margin, score_source, data):
+    # Scores come from three values, so most pools hold ties; in reranker mode
+    # the candidates arrive in fused order, which the survivors must not keep.
+    ordered = sorted(rows.items(), key=lambda row: (-row[1][0], row[0]))
+    ts = TeacherScoreSet("q1", tuple(Candidate(d, fused, reranker_score=rer) for d, (fused, rer) in ordered))
+    scored = ts.fused() if score_source == "fused" else ts.reranker()
+    assume(scored)
+    positive_id = data.draw(st.sampled_from(sorted(scored)))
+    positives = data.draw(st.lists(st.sampled_from(sorted(rows)), max_size=2))
+    threshold = scored[positive_id] * margin
+    kept = [(d, s) for d, s in scored.items() if d not in {positive_id, *positives} and s <= threshold]
+    pool = filter_candidates(ts, positive_id, margin, score_source=score_source, positives=positives)
+    assert pool.survivors == tuple(sorted(kept, key=lambda e: (-e[1], e[0])))
 
 
 def test_other_positive_below_the_threshold_is_not_mined():

@@ -9,6 +9,8 @@ import random
 import re
 import shutil
 import signal
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -28,6 +30,22 @@ from conftest import FIXTURES, ScoringServer, child_pids, default_score
 
 PIPELINE_FIXTURE = FIXTURES / "pipeline"
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
+# `mine` with mining.seed 7 on the config argv[1], SIGKILLed at its argv[2]-th output rename.
+KILLED_RUN = """
+import os, signal, sys
+from embkit import pipeline
+replace, renames = os.replace, []
+def killing_replace(src, dst):
+    renames.append(dst)
+    if len(renames) == int(sys.argv[2]):
+        os.kill(os.getpid(), signal.SIGKILL)
+    replace(src, dst)
+os.replace = killing_replace
+config = pipeline.load_config(sys.argv[1])
+config.settings["mining"]["seed"] = 7
+pipeline.run_mine(config)
+"""
 
 # Every leaf setting: (section, key), or (None, key) at the top level.
 KNOWN_SETTINGS = [
@@ -504,6 +522,73 @@ class TestRunMine:
         assert output_bytes(out) == before
         assert sorted(p.name for p in out.iterdir()) == sorted(before)
 
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt], ids=["os-error", "interrupt"])
+    @pytest.mark.parametrize("failing", range(1, 6))
+    def test_failed_rename_leaves_the_previous_set(self, tmp_path, monkeypatch, error, failing):
+        out = tmp_path / "out"
+        replace, renames = os.replace, []
+
+        def failing_replace(src, dst):
+            renames.append(dst)
+            if len(renames) == failing:
+                raise error(f"rename {failing} fails")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(error):
+            pipeline.run_mine(fixture_config(tmp_path))
+        assert list(out.iterdir()) == []  # no previous set, so none of the new files stays
+        monkeypatch.setattr(os, "replace", replace)
+        pipeline.run_mine(fixture_config(tmp_path))
+        before = output_bytes(out)
+        pipeline.run_mine(fixture_config(tmp_path, out_name="seed-7", mining={"seed": 7}))
+        assert output_bytes(tmp_path / "seed-7") != before
+        renames.clear()
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(error):
+            pipeline.run_mine(fixture_config(tmp_path, mining={"seed": 7}))
+        assert output_bytes(out) == before
+        assert sorted(p.name for p in out.iterdir()) == sorted(before)  # no temp file, no .previous
+
+    def test_saved_set_is_restored_before_any_input_is_read(self, tmp_path, capsys):
+        config = pipeline.load_config(copy_fixture(tmp_path))
+        pipeline.run_mine(config)
+        out = tmp_path / "out"
+        before = output_bytes(out)
+        (out / pipeline.PREVIOUS_DIR).mkdir()
+        for name in before:
+            os.link(out / name, out / pipeline.PREVIOUS_DIR / name)
+        for name in (pipeline.TRAINING_RECORDS_FILE, pipeline.MINED_FILE):  # as a run killed after two renames
+            (out / "new").write_text("from another run\n")
+            os.replace(out / "new", out / name)
+        (tmp_path / "inputs" / "corpus.jsonl").write_text("not json\n")
+        with pytest.raises(PipelineStageError) as excinfo:
+            pipeline.run_mine(config)
+        assert excinfo.value.stage == "load-corpus"
+        assert output_bytes(out) == before
+        assert sorted(p.name for p in out.iterdir()) == sorted(before)
+        assert "restored the last finished run's outputs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("killed_at", range(1, 6))
+    def test_run_killed_between_renames_is_undone_by_the_next(self, tmp_path, monkeypatch, capsys, killed_at):
+        config_path = copy_fixture(tmp_path)
+        pipeline.run_mine(pipeline.load_config(config_path))
+        out = tmp_path / "out"
+        before = output_bytes(out)
+        monkeypatch.setenv("PYTHONPATH", str(SRC))
+        done = subprocess.run([sys.executable, "-c", KILLED_RUN, str(config_path), str(killed_at)],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == -signal.SIGKILL, done.stderr
+        assert (out / pipeline.PREVIOUS_DIR).is_dir()
+        for stale in out.glob(".*.tmp"):  # the killed run's temp files that were never renamed
+            stale.unlink()
+        (tmp_path / "inputs" / "corpus.jsonl").write_text("not json\n")
+        with pytest.raises(PipelineStageError):
+            pipeline.run_mine(pipeline.load_config(config_path))
+        assert output_bytes(out) == before
+        assert sorted(p.name for p in out.iterdir()) == sorted(before)
+        assert "restored the last finished run's outputs" in capsys.readouterr().err
+
     def test_every_output_is_fsynced_before_the_first_rename(self, tmp_path, monkeypatch):
         events = []
         fsync, replace = os.fsync, os.replace
@@ -519,8 +604,10 @@ class TestRunMine:
         monkeypatch.setattr(os, "fsync", traced_fsync)
         monkeypatch.setattr(os, "replace", traced_replace)
         pipeline.run_mine(fixture_config(tmp_path))
-        assert [kind for kind, _ in events] == ["fsync"] * 5 + ["replace"] * 5
-        assert {inode for _, inode in events[:5]} == {inode for _, inode in events[5:]}
+        # The last fsync is the output directory's, which makes the renames durable.
+        assert [kind for kind, _ in events] == ["fsync"] * 5 + ["replace"] * 5 + ["fsync"]
+        assert {inode for _, inode in events[:5]} == {inode for _, inode in events[5:10]}
+        assert events[-1][1] == (tmp_path / "out").stat().st_ino
 
     def test_pairs_of_all_queries_share_one_post(self, tmp_path, scoring_server):
         config = fixture_config(tmp_path)
@@ -1001,6 +1088,14 @@ class TestCli:
         assert main(["--config", str(config), "mine"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {config}: invalid JSON: ") and "Traceback" not in err
+
+    def test_nul_in_output_dir_exit_one_before_any_post(self, tmp_path, capsys, scoring_server):
+        config = self.write_config(tmp_path, paths={
+            "output_dir": "out\u0000x", "reranker_scores": None, "reranker_endpoint": scoring_server.endpoint})
+        assert main(["--config", str(config), "mine"]) == 1
+        err = capsys.readouterr().err
+        assert "paths.output_dir: must not contain a NUL character" in err and "Traceback" not in err
+        assert scoring_server.calls == 0
 
     def test_stage_error_exit_two(self, tmp_path, capsys):
         trimmed = tmp_path / "inputs"
