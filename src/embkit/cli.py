@@ -152,6 +152,7 @@ def _cmd_loss(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
+    loss_mod.check_eps(args.eps)
     batch, teacher = _load_batch(args)
     lines = [f"grad-check infonce {loss_mod.infonce_grad_check(batch, args.eps):.3e}"]
     if teacher is not None:

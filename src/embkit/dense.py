@@ -6,12 +6,13 @@ the same on every CPU: OpenBLAS picks `np.vecdot`'s kernel by CPU (ROADMAP item 
 
 from __future__ import annotations
 
+import math
 from array import array
 
 import numpy as np
 
 from . import jsonl
-from .errors import EmbkitError, RecordError, ValidationError
+from .errors import RecordError, ValidationError
 from .ranking import CHANNEL_SEMANTIC, RankedList, top_n
 
 
@@ -44,45 +45,30 @@ def load_vectors(path) -> VectorStore:
 
 
 def _read_vectors(path, records: jsonl.Records) -> VectorStore:
-    """`load_vectors` over records.  Finiteness is checked over all rows at the end, and
-    first whenever another check fails, so the error is the one a check of each record in turn gives."""
-    ids, lines, seen, flat, dim = [], [], set(), array("d"), 0
-    try:
-        for lineno, record in records:
-            vec_id = jsonl.string(record, "id", path, lineno, non_empty=True)
-            raw = jsonl.require(record, "vector", path, lineno)
-            # type() is exact, so bool (an int subclass) is rejected too.
-            if not isinstance(raw, list) or not raw or not set(map(type, raw)) <= {int, float}:
-                raise RecordError(path, lineno, "field 'vector' must be a non-empty list of numbers")
-            try:  # on an error fromlist leaves flat as it was
-                flat.fromlist(raw)
-            except OverflowError:
-                raise RecordError(path, lineno, f"vector '{vec_id}' has a component beyond float range") from None
-            # The row is in before its own checks, so that on their failure
-            # `_check_finite` finds a non-finite component of it first.
-            ids.append(vec_id)
-            lines.append(lineno)
-            dim = dim or len(raw)
-            if len(raw) != dim:
-                raise RecordError(path, lineno, f"vector '{vec_id}' has dimension {len(raw)}, expected {dim}")
-            if vec_id in seen:
-                raise RecordError(path, lineno, f"duplicate vector id '{vec_id}'")
-            seen.add(vec_id)
-    except EmbkitError:
-        _check_finite(path, flat, dim, ids, lines)
-        raise
+    """`load_vectors` over records, each checked in full, finiteness included, before the next is read."""
+    ids, flat, dim = {}, array("d"), 0  # ids: a dict, so in file order with a fast membership test
+    for lineno, record in records:
+        vec_id = jsonl.string(record, "id", path, lineno, non_empty=True)
+        raw = jsonl.require(record, "vector", path, lineno)
+        # type() is exact, so bool (an int subclass) is rejected too.
+        if not isinstance(raw, list) or not raw or not set(map(type, raw)) <= {int, float}:
+            raise RecordError(path, lineno, "field 'vector' must be a non-empty list of numbers")
+        try:
+            flat.fromlist(raw)
+        except OverflowError:
+            raise RecordError(path, lineno, f"vector '{vec_id}' has a component beyond float range") from None
+        # A finite sum has only finite terms; the 0.0 start keeps a sum of ints a float.
+        if not math.isfinite(sum(raw, 0.0)) and not all(map(math.isfinite, raw)):
+            raise RecordError(path, lineno, f"vector '{vec_id}' contains a non-finite component")
+        dim = dim or len(raw)
+        if len(raw) != dim:
+            raise RecordError(path, lineno, f"vector '{vec_id}' has dimension {len(raw)}, expected {dim}")
+        if vec_id in ids:
+            raise RecordError(path, lineno, f"duplicate vector id '{vec_id}'")
+        ids[vec_id] = None
     if not ids:
         raise ValidationError(f"{path}: no vector records")
-    _check_finite(path, flat, dim, ids, lines)
-    return VectorStore(ids, np.frombuffer(flat).reshape(len(ids), dim).copy())
-
-
-def _check_finite(path, flat: array, dim: int, ids: list[str], lines: list[int]) -> None:
-    """RecordError for the first row of flat with a non-finite component; every row but the last has dim components."""
-    bad = np.flatnonzero(~np.isfinite(np.frombuffer(flat)))
-    if bad.size:
-        row = min(bad[0] // dim, len(ids) - 1)
-        raise RecordError(path, lines[row], f"vector '{ids[row]}' contains a non-finite component")
+    return VectorStore(list(ids), np.frombuffer(flat).reshape(len(ids), dim).copy())
 
 
 def search_semantic(store: VectorStore, q_vec, n: int) -> RankedList:

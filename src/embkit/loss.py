@@ -64,7 +64,7 @@ class SimBatch:
     def __post_init__(self):
         self.sims_pos = np.asarray(self.sims_pos, dtype=np.float64).reshape(-1)
         self.sims_neg = [np.asarray(s, dtype=np.float64).reshape(-1) for s in self.sims_neg]
-        _check_number("temperature", self.tau, "> 0", lambda v: v > 0)
+        _check_tau("temperature", self.tau)
         if len(self.sims_neg) != self.size:
             raise ValidationError(
                 f"{self.size} positives but {len(self.sims_neg)} negative lists"
@@ -92,7 +92,7 @@ class TeacherDistribution:
 
     def __post_init__(self):
         self.scores = [np.asarray(s, dtype=np.float64).reshape(-1) for s in self.scores]
-        _check_teacher_tau(self.tau)
+        _check_tau("teacher temperature", self.tau)
         for i, s in enumerate(self.scores):
             if s.size < 2:
                 raise ValidationError(f"query {i}: teacher needs at least 2 candidates")
@@ -105,8 +105,8 @@ def _check_number(name: str, value, rule: str, in_range) -> None:
         raise ValidationError(*problems)
 
 
-def _check_teacher_tau(tau) -> None:
-    _check_number("teacher temperature", tau, "> 0", lambda v: v > 0)
+def _check_tau(name: str, tau) -> None:
+    _check_number(name, tau, "> 0", lambda v: v > 0)
 
 
 def _log_softmax(values: np.ndarray) -> np.ndarray:
@@ -211,14 +211,14 @@ def flatten_sims(batch: SimBatch) -> np.ndarray:
 
 def with_sims(batch: SimBatch, flat: np.ndarray) -> SimBatch:
     """Rebuild a batch with the same shape but new similarity values."""
-    flat = np.asarray(flat, dtype=np.float64)
-    pos = flat[: batch.size].copy()
-    negs = []
-    offset = batch.size
-    for s in batch.sims_neg:
-        negs.append(flat[offset: offset + s.size].copy())
-        offset += s.size
+    bounds = np.cumsum([batch.size] + [s.size for s in batch.sims_neg])[:-1]
+    pos, *negs = np.split(np.array(flat, dtype=np.float64), bounds)  # a copy, so later edits of flat do not leak in
     return SimBatch(sims_pos=pos, sims_neg=negs, tau=batch.tau, in_batch=batch.in_batch)
+
+
+def check_eps(eps) -> None:
+    if not GRAD_EPS_MIN <= eps <= GRAD_EPS_MAX:
+        raise ValidationError(f"eps must be in [{GRAD_EPS_MIN}, {GRAD_EPS_MAX}], got {eps}")
 
 
 def grad_check(loss_fn, grad_fn, batch: SimBatch, eps: float = 1e-5) -> float:
@@ -228,8 +228,7 @@ def grad_check(loss_fn, grad_fn, batch: SimBatch, eps: float = 1e-5) -> float:
     keeps roundoff noise in near-zero gradients from masquerading as a
     large relative error.
     """
-    if not GRAD_EPS_MIN <= eps <= GRAD_EPS_MAX:
-        raise ValidationError(f"eps must be in [{GRAD_EPS_MIN}, {GRAD_EPS_MAX}], got {eps}")
+    check_eps(eps)
     flat = flatten_sims(batch)
     analytic = np.asarray(grad_fn(batch), dtype=np.float64)
     numeric = np.zeros_like(flat)
@@ -265,11 +264,12 @@ def load_batch_file(
     Every similarity and teacher score must be a finite JSON number.
     Teacher scores, when present, must appear on every line and align with
     [positive, negatives...]; the teacher temperature defaults to the
-    student's.  A given teacher temperature is checked before the file is
-    read, whether or not it holds teacher scores.
+    student's.  Both temperatures are checked before the file is read,
+    whether or not it holds teacher scores.
     """
+    _check_tau("temperature", tau)
     if tau_teacher is not None:
-        _check_teacher_tau(tau_teacher)
+        _check_tau("teacher temperature", tau_teacher)
     pos: list[float] = []
     negs: list[list[float]] = []
     teacher_rows: list[list[float]] = []

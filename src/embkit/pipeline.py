@@ -57,6 +57,7 @@ MANIFEST_FILE = "manifest.json"
 DATA_FILES = (TRAINING_RECORDS_FILE, MINED_FILE, TEACHER_SCORES_FILE, RERANKER_SCORES_FILE)
 OUTPUT_FILES = (*DATA_FILES, MANIFEST_FILE)  # in rename order, the manifest last
 PREVIOUS_DIR = ".previous"  # the last finished run's outputs while a run swaps its own in
+STAGING_DIR = ".staging"  # a run's new outputs, and its saved set until that becomes PREVIOUS_DIR
 
 
 @dataclass
@@ -218,8 +219,9 @@ def validate_paths(config: PipelineConfig) -> list[str]:
 
 
 def _restore_previous(output_dir: Path) -> bool:
-    """Relink each output from `output_dir/.previous/`, or remove it if not saved there; False if none."""
+    """Relink each output from `.previous/`, or remove it if not saved there; remove `.staging/`; False if none."""
     if not (output_dir / PREVIOUS_DIR).is_dir():
+        shutil.rmtree(output_dir / STAGING_DIR, ignore_errors=True)
         return False
     for name in OUTPUT_FILES:
         (output_dir / name).unlink(missing_ok=True)
@@ -230,14 +232,15 @@ def _restore_previous(output_dir: Path) -> bool:
 
 
 def _drop_previous(output_dir: Path) -> None:
-    """Fsync `output_dir`, so its renames are on disk, then remove `.previous/` by one rename."""
+    """Fsync `output_dir`, so its renames are on disk, then move `.previous/` into `.staging/` and remove that."""
     fd = os.open(output_dir, os.O_RDONLY)
     try:
         os.fsync(fd)
     finally:
         os.close(fd)
-    (output_dir / PREVIOUS_DIR).rename(output_dir / f"{PREVIOUS_DIR}.tmp")
-    shutil.rmtree(output_dir / f"{PREVIOUS_DIR}.tmp")
+    (output_dir / STAGING_DIR).mkdir(exist_ok=True)
+    (output_dir / PREVIOUS_DIR).rename(output_dir / STAGING_DIR / PREVIOUS_DIR)
+    shutil.rmtree(output_dir / STAGING_DIR)
 
 
 def _digest_file(path) -> str:
@@ -438,15 +441,15 @@ def run_mine(config: PipelineConfig) -> dict:
 
     Any stage failure aborts the run with the stage name and query id; an
     invalid config fails before any input is read, and an unknown id in the
-    qrels or doc vectors before any query is retrieved.  Each output is
-    written to a temp file in the output directory and fsynced.  The
-    previous run's outputs are hard-linked into `output_dir/.previous/`,
-    the temp files are renamed into place, the manifest last, the directory
-    is fsynced and `.previous/` is removed.  Any exception, an interrupt
-    included, removes the temp files and puts the previous run's files
-    back, so a failed run leaves them byte for byte as they were.  A run
-    killed during the swap leaves `.previous/`, which the next run restores
-    before it reads any input, saying so on stderr.  Returns the manifest.
+    qrels or doc vectors before any query is retrieved.  The outputs are
+    written to `output_dir/.staging/` and fsynced, the previous run's are
+    hard-linked into `.staging/.previous/`, renamed to `.previous/`, the new
+    ones are renamed into place, the manifest last, and the directory is
+    fsynced before both are removed.  Any exception, an interrupt included,
+    puts the previous files back and removes `.staging/`, so a failed run
+    leaves them byte for byte as they were; the next run does so for a
+    killed one before it reads any input, saying so on stderr if a set was
+    saved.  One run at a time may use an `output_dir`.  Returns the manifest.
     """
     require_valid(validate_config(config))
     output_dir = Path(config.path("output_dir"))
@@ -485,9 +488,10 @@ def run_mine(config: PipelineConfig) -> dict:
     ))
 
     output_dir.mkdir(parents=True, exist_ok=True)
-    temp = {name: output_dir / f".{name}.{os.getpid()}.tmp" for name in OUTPUT_FILES}
-    staged = output_dir / f"{PREVIOUS_DIR}.tmp"  # a killed run can leave it
+    staging = output_dir / STAGING_DIR
+    temp = {name: staging / name for name in OUTPUT_FILES}
     try:
+        (staging / PREVIOUS_DIR).mkdir(parents=True)
         save_training_records(temp[TRAINING_RECORDS_FILE], records)
         mining.save_mined(temp[MINED_FILE], mined)
         fusion.save_teacher_scores(
@@ -513,19 +517,14 @@ def run_mine(config: PipelineConfig) -> dict:
         for path in temp.values():  # on disk before any rename, so no rename can expose a short file
             with open(path, "rb+") as handle:
                 os.fsync(handle.fileno())
-        shutil.rmtree(staged, ignore_errors=True)
-        staged.mkdir()
         for name in OUTPUT_FILES:
             if (output_dir / name).exists():
-                os.link(output_dir / name, staged / name)
-        staged.rename(output_dir / PREVIOUS_DIR)  # whole before the first rename
+                os.link(output_dir / name, staging / PREVIOUS_DIR / name)
+        (staging / PREVIOUS_DIR).rename(output_dir / PREVIOUS_DIR)  # whole before the first rename
         for name, path in temp.items():  # the manifest last
             os.replace(path, output_dir / name)
         _drop_previous(output_dir)
     except BaseException:
         _restore_previous(output_dir)
-        shutil.rmtree(staged, ignore_errors=True)
-        for partial in temp.values():
-            partial.unlink(missing_ok=True)
         raise
     return manifest

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from embkit.corpus import Document
+from embkit.pipeline import PREVIOUS_DIR, STAGING_DIR
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -149,10 +150,12 @@ def no_process_outlives_its_test():
 
 @pytest.fixture(autouse=True)
 def no_temp_file_outlives_its_test(request):
-    """Fail a test that leaves a `.*.tmp` file, such as an output's temp file, under its tmp_path."""
+    """Fail a test that leaves under its tmp_path a `.*.tmp` file or a `mine` run's
+    `.staging` or `.previous` directory."""
     tmp_path = request.getfixturevalue("tmp_path") if "tmp_path" in request.fixturenames else None
     yield
-    left = sorted(str(path.relative_to(tmp_path)) for path in tmp_path.rglob(".*.tmp")) if tmp_path else []
+    temp = (*tmp_path.rglob(".*.tmp"), *tmp_path.rglob(STAGING_DIR), *tmp_path.rglob(PREVIOUS_DIR)) if tmp_path else ()
+    left = sorted(str(path.relative_to(tmp_path)) for path in temp)
     assert not left, f"temp files left: {left}"
 
 

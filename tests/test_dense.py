@@ -165,6 +165,9 @@ def vector_files(draw):
 @example('{"id": "a", "vector": [1, NaN]}\n{"id": "b", "vector": [1, %s]}\n' % ("9" * 400))
 @example('{"id": "a", "vector": [1, 2]}\n{"id": "b", "vector": [NaN, 2]}\n{"id": "c", "vector": [1, 2, 3]}\n')
 @example('{"id": "a", "vector": [1, 2]}\r\n{"id": "b", "vector": [3, 4.5]}\r\n')
+@example('{"id": "a", "vector": [%s, %s]}\n' % (("1" + "0" * 308,) * 2))
+@example('{"id": "a", "vector": [1e308, 1e308, -1e308]}\n')
+@example('{"id": "a", "vector": [Infinity, -Infinity]}\n')
 def test_load_vectors_matches_per_row_loader(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "vectors.jsonl"
     path.write_bytes(text.encode())

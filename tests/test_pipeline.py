@@ -580,8 +580,6 @@ class TestRunMine:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == -signal.SIGKILL, done.stderr
         assert (out / pipeline.PREVIOUS_DIR).is_dir()
-        for stale in out.glob(".*.tmp"):  # the killed run's temp files that were never renamed
-            stale.unlink()
         (tmp_path / "inputs" / "corpus.jsonl").write_text("not json\n")
         with pytest.raises(PipelineStageError):
             pipeline.run_mine(pipeline.load_config(config_path))
@@ -1228,6 +1226,18 @@ class TestCli:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert message in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["loss", "--tau", "0"], "temperature: must be > 0, got 0.0"),
+        (["grad-check", "--eps", "5"], "eps must be in [1e-07, 0.001], got 5.0"),
+    ], ids=["loss-tau-zero", "grad-check-eps-five"])
+    def test_bad_flag_is_named_before_the_batch_is_read(self, tmp_path, capsys, argv, message):
+        batch = tmp_path / "batch.jsonl"
+        batch.write_text('{"s_pos": 0.0, "s_neg": [0.0]}\nnot json\n', encoding="utf-8")
+        assert main([*argv, "--batch", str(batch)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err and "malformed" not in captured.err
 
     @pytest.mark.parametrize("command", ["loss", "grad-check"])
     def test_batch_without_records_exits_one_before_any_output(self, tmp_path, capsys, command):
